@@ -1,11 +1,11 @@
 // E13 — finger search: the thread-local hint layer (DESIGN.md §10) against
 // head-started searches, on the workloads it was built for.
 //
-// Matrix: {finger on, finger off} x {flat, chained} tower layout under the
-// epoch reclaimer, plus a flat-layout column under the hazard reclaimer
-// (publish-then-revalidate fingers: one retained slot per fingered level,
-// each holding that level's pred's tower root), at 1, 8 and 16 threads, on
-// three key streams:
+// Matrix: {finger on, finger off} under the epoch reclaimer, under the
+// hazard reclaimer (publish-then-revalidate fingers: one retained slot per
+// fingered (level, way), each holding that way's pred tower), and for the
+// reference-counted FRSkipListRC, at 1, 8 and 16 threads, on three key
+// streams:
 //
 //   * zipf-0.99   — Zipfian popularity with SCRAMBLED positions (the raw
 //                   generator puts hot keys at the left edge of the key
@@ -24,7 +24,9 @@
 // wall-clock rows measure oversubscribed scheduling, not parallelism —
 // steps/op is the schedule-independent headline (see EXPERIMENTS.md).
 //
-// Output: tables plus machine-readable BENCH_finger.json.
+// Output: one line per configuration, printed and flushed as soon as it is
+// measured (so a crash mid-matrix still leaves every finished row), then
+// the tables; BENCH_finger.json is rewritten after every row.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,7 +38,6 @@
 #include "lf/harness/json_writer.h"
 #include "lf/harness/table.h"
 #include "lf/instrument/counters.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/sync/finger.h"
@@ -47,10 +48,9 @@ namespace {
 using lf::harness::Table;
 namespace wl = lf::workload;
 
-template <typename Layout, typename Finger,
-          typename Reclaimer = lf::reclaim::EpochReclaimer>
-using Skip =
-    lf::FRSkipList<long, long, std::less<long>, Reclaimer, 24, Layout, Finger>;
+template <typename Finger, typename Reclaimer>
+using Skip = lf::FRSkipList<long, long, std::less<long>, Reclaimer, 24,
+                            lf::mem::PoolAlloc, Finger>;
 
 constexpr std::uint64_t kKeySpace = 4096;
 constexpr std::uint64_t kPrefill = 2048;
@@ -82,10 +82,9 @@ struct Row {
   double skip_per_op = 0;
 };
 
-template <typename Layout, typename Finger,
-          typename Reclaimer = lf::reclaim::EpochReclaimer>
-Row run_one(const char* layout_name, const char* reclaimer_name,
-            bool finger_on, const Workload& w, int threads) {
+template <typename Finger, typename Reclaimer>
+Row run_one(const char* reclaimer_name, bool finger_on, const Workload& w,
+            int threads) {
   wl::RunConfig cfg;
   cfg.threads = threads;
   cfg.ops_per_thread = kOpsTotal / static_cast<std::uint64_t>(threads);
@@ -97,12 +96,12 @@ Row run_one(const char* layout_name, const char* reclaimer_name,
   cfg.seed = 0xf168e4;
   cfg.measure_contention = false;
 
-  Skip<Layout, Finger, Reclaimer> set;
+  Skip<Finger, Reclaimer> set;
   wl::prefill(set, cfg);
   const auto res = wl::run_workload(set, cfg);
 
   Row r;
-  r.layout = layout_name;
+  r.layout = "tower";
   r.reclaimer = reclaimer_name;
   r.finger = finger_on;
   r.workload = w.name;
@@ -120,30 +119,28 @@ Row run_one(const char* layout_name, const char* reclaimer_name,
   return r;
 }
 
-template <typename Layout>
-void run_layout(const char* layout_name, std::vector<Row>& rows) {
-  for (const Workload& w : kWorkloads) {
-    for (int threads : {1, 8, 16}) {
-      rows.push_back(run_one<Layout, lf::sync::FingerOff>(
-          layout_name, "epoch", false, w, threads));
-      rows.push_back(run_one<Layout, lf::sync::FingerOn>(layout_name, "epoch",
-                                                         true, w, threads));
-    }
-  }
+void emit_json(const std::vector<Row>& rows);
+
+// Keeps a measured row: prints it on one flushed line and rewrites the JSON,
+// so every finished row survives a later crash.
+void record(std::vector<Row>& rows, Row r) {
+  std::cout << "row " << r.layout << " " << r.reclaimer << " finger="
+            << (r.finger ? "on" : "off") << " " << r.workload << " T"
+            << r.threads << ": " << r.ns_per_op << " ns/op, "
+            << r.steps_per_op << " steps/op, hit " << r.hit_rate
+            << std::endl;
+  rows.push_back(std::move(r));
+  emit_json(rows);
 }
 
-// The hazard-reclaimer configuration (publish-then-revalidate fingers).
-// Flat towers only: multi-level hazard fingers need the flat layout's
-// one-block-per-tower retirement (a chained tower degrades to a level-1
-// finger), so the chained axis would only re-measure that restriction.
-void run_hazard(std::vector<Row>& rows) {
-  using HP = lf::reclaim::HazardReclaimer;
+template <typename Reclaimer>
+void run_reclaimer(const char* reclaimer_name, std::vector<Row>& rows) {
   for (const Workload& w : kWorkloads) {
     for (int threads : {1, 8, 16}) {
-      rows.push_back(run_one<lf::mem::FlatTowers, lf::sync::FingerOff, HP>(
-          "flat", "hazard", false, w, threads));
-      rows.push_back(run_one<lf::mem::FlatTowers, lf::sync::FingerOn, HP>(
-          "flat", "hazard", true, w, threads));
+      record(rows, run_one<lf::sync::FingerOff, Reclaimer>(
+                       reclaimer_name, false, w, threads));
+      record(rows, run_one<lf::sync::FingerOn, Reclaimer>(reclaimer_name,
+                                                          true, w, threads));
     }
   }
 }
@@ -187,8 +184,8 @@ Row run_one_rc(bool finger_on, const Workload& w, int threads) {
 void run_rc(std::vector<Row>& rows) {
   for (const Workload& w : kWorkloads) {
     for (int threads : {1, 8, 16}) {
-      rows.push_back(run_one_rc<lf::sync::FingerOff>(false, w, threads));
-      rows.push_back(run_one_rc<lf::sync::FingerOn>(true, w, threads));
+      record(rows, run_one_rc<lf::sync::FingerOff>(false, w, threads));
+      record(rows, run_one_rc<lf::sync::FingerOn>(true, w, threads));
     }
   }
 }
@@ -232,7 +229,6 @@ void emit_json(const std::vector<Row>& rows) {
   j.end_object();
   std::ofstream f("BENCH_finger.json");
   f << j.str() << "\n";
-  std::cout << "wrote BENCH_finger.json\n";
 }
 
 }  // namespace
@@ -244,9 +240,8 @@ int main() {
       "workloads should drop steps/op sharply, uniform must not regress");
 
   std::vector<Row> rows;
-  run_layout<lf::mem::FlatTowers>("flat", rows);
-  run_layout<lf::mem::ChainedTowers>("chained", rows);
-  run_hazard(rows);
+  run_reclaimer<lf::reclaim::EpochReclaimer>("epoch", rows);
+  run_reclaimer<lf::reclaim::HazardReclaimer>("hazard", rows);
   run_rc(rows);
 
   for (const Workload& w : kWorkloads) {
@@ -271,8 +266,8 @@ int main() {
     const char* layout;
     const char* reclaimer;
   };
-  for (const Config& c : {Config{"flat", "epoch"}, Config{"chained", "epoch"},
-                          Config{"flat", "hazard"}, Config{"arena", "rc"}}) {
+  for (const Config& c : {Config{"tower", "epoch"}, Config{"tower", "hazard"},
+                          Config{"arena", "rc"}}) {
     for (const Workload& w : kWorkloads) {
       for (int threads : {1, 8, 16}) {
         const Row* off =
@@ -292,13 +287,12 @@ int main() {
   s.print();
   std::cout << "Expected shape: zipf-0.99 and repeat-range reductions >= 20%\n"
                "at every thread count; uniform within a few percent of zero\n"
-               "(validation cost only). The hazard rows run the flat layout,\n"
-               "where each fingered level retains its pred's tower root in\n"
-               "its own hazard slot, so their reductions track the epoch\n"
-               "rows. ns/op follows steps/op at 1 thread; multi-thread\n"
-               "wall clock on a single core mostly measures\n"
-               "oversubscription.\n\n";
+               "(validation cost only). Under hazard pointers each fingered\n"
+               "(level, way) retains its pred tower in its own slot, so\n"
+               "their reductions track the epoch rows. ns/op follows\n"
+               "steps/op at 1 thread; multi-thread wall clock on a single\n"
+               "core mostly measures oversubscription.\n\n";
 
-  emit_json(rows);
+  std::cout << "wrote BENCH_finger.json\n";
   return 0;
 }

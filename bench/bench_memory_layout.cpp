@@ -1,18 +1,16 @@
-// E11 — cache-conscious memory layer ablation: flat towers + pooled
-// allocation vs the seed's pointer-chained, heap-allocated placement.
+// E11 — memory layer ablation: the tower node (one block per tower: key,
+// value, kind and every level's successor and backlink) under pooled
+// versus global-allocator placement.
 //
-// The 2x2 matrix {chained, flat} x {heap, pool} isolates the two effects:
-//
-//   * LAYOUT (chained -> flat): a whole tower in one contiguous block puts
-//     the root's hot fields in the block's first cache line and keeps the
-//     down-descent inside the block; an insert costs one allocation
-//     instead of one per level.
 //   * ALLOCATOR (heap -> pool): per-thread freelists recycle blocks warm
 //     and line-aligned, and the global allocator is hit only once per
-//     256 KiB segment instead of once per node.
+//     256 KiB segment instead of once per tower.
+//   * TOWER BYTES: the mean block size per tower (whole 64-byte lines) —
+//     what the representation costs in memory, the same under either
+//     allocator.
 //
-// The paper's complexity claims are layout-independent — the essential
-// steps/op column must be flat across the matrix (the same algorithm
+// The paper's complexity claims are placement-independent — the essential
+// steps/op column must be equal across the rows (the same algorithm
 // executes the same CAS/backlink/pointer steps); only the wall-clock and
 // allocator columns may move. On a single-core host the multi-thread
 // throughput numbers measure lost-interleaving overhead rather than
@@ -31,7 +29,6 @@
 #include "lf/harness/table.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 #include "lf/util/timer.h"
@@ -43,9 +40,9 @@ using lf::harness::Table;
 using lf::mem::PoolTotals;
 using lf::mem::pool_totals;
 
-template <typename Layout>
+template <typename Alloc>
 using SkipList = lf::FRSkipList<long, long, std::less<long>,
-                                lf::reclaim::EpochReclaimer, 24, Layout>;
+                                lf::reclaim::EpochReclaimer, 24, Alloc>;
 
 // Allocator traffic attributable to one measured region, for either
 // allocation policy. "blocks" counts blocks handed to the structure;
@@ -70,12 +67,11 @@ struct PhaseResult {
   double steps_per_op = 0;
   double blocks_per_op = 0;
   double hits_per_op = 0;
+  double bytes_per_tower = 0;  // build only: mean block, in whole lines
 };
 
 // Phase 1: build a set of kBuildKeys distinct keys, single thread, shuffled
-// order. blocks/op here is the allocations-per-insert claim: flat = 1 block
-// per tower; chained = one block per tower LEVEL (expected ~2 for fair
-// coin flips).
+// order. blocks/op here is the allocations-per-insert claim: exactly 1.
 constexpr std::size_t kBuildKeys = 200'000;
 
 std::vector<long> shuffled_keys(std::size_t n, std::uint64_t seed) {
@@ -102,11 +98,19 @@ PhaseResult build_phase(Set& set, const std::vector<long>& keys) {
   r.steps_per_op = static_cast<double>(steps.essential_steps()) / n;
   r.blocks_per_op = static_cast<double>(mem.blocks) / n;
   r.hits_per_op = static_cast<double>(mem.global_hits) / n;
+  // Every tower is fully built here (one thread), so observed height is the
+  // planned height and the census prices every block.
+  double bytes = 0;
+  for (const auto& [h, count] : set.census().height_counts) {
+    const std::size_t lines = (Set::Node::bytes(h) + 63) / 64;
+    bytes += static_cast<double>(lines * 64 * count);
+  }
+  r.bytes_per_tower = bytes / n;
   return r;
 }
 
 // Phase 2: single-thread random searches over the built set — the
-// pointer-chasing workload where node placement (flat block vs heap
+// pointer-chasing workload where node placement (pool segments vs heap
 // spread) shows up as wall-clock.
 template <typename Set>
 PhaseResult search_phase(const Set& set, std::uint64_t seed) {
@@ -159,17 +163,17 @@ struct ConfigResult {
   PhaseResult build, search, churn;
 };
 
-template <typename Layout>
+template <typename Alloc>
 ConfigResult run_config() {
-  ConfigResult out{Layout::kName, {}, {}, {}};
+  ConfigResult out{Alloc::kName, {}, {}, {}};
   const auto keys = shuffled_keys(kBuildKeys, 0x5eed);
   {
-    SkipList<Layout> set;
+    SkipList<Alloc> set;
     out.build = build_phase(set, keys);
     out.search = search_phase(set, 0xfeed);
   }
   {
-    SkipList<Layout> set;
+    SkipList<Alloc> set;
     out.churn = churn_phase(set);
   }
   // Both sets retired everything into the global domain; drain so the next
@@ -186,7 +190,7 @@ void emit_json(const std::vector<ConfigResult>& results) {
   j.key("configs").begin_array();
   for (const auto& c : results) {
     j.begin_object();
-    j.field("layout", c.name);
+    j.field("alloc", c.name);
     const auto phase = [&](const char* name, const PhaseResult& p,
                            bool alloc_cols) {
       j.key(name).begin_object();
@@ -197,6 +201,7 @@ void emit_json(const std::vector<ConfigResult>& results) {
         j.field("blocks_per_op", p.blocks_per_op);
         j.field("global_allocator_hits_per_op", p.hits_per_op);
       }
+      if (p.bytes_per_tower > 0) j.field("bytes_per_tower", p.bytes_per_tower);
       j.end_object();
     };
     phase("build", c.build, true);
@@ -216,28 +221,28 @@ void emit_json(const std::vector<ConfigResult>& results) {
 int main() {
   lf::harness::print_environment(
       "E11 (memory layer)",
-      "flat towers + pooled allocation remove the per-level allocator "
+      "one block per tower; pooled allocation removes the allocator "
       "round-trips and heap spread; essential steps/op must not move");
 
   std::vector<ConfigResult> results;
-  results.push_back(run_config<lf::mem::ChainedTowers>());        // seed
-  results.push_back(run_config<lf::mem::PooledChainedTowers>());
-  results.push_back(run_config<lf::mem::FlatTowersHeap>());
-  results.push_back(run_config<lf::mem::FlatTowers>());           // default
+  results.push_back(run_config<lf::mem::HeapAlloc>());
+  results.push_back(run_config<lf::mem::PoolAlloc>());  // default
 
   lf::harness::print_section(
       "(a) build: 200k distinct inserts, 1 thread (blocks/op = allocations "
       "per insert)");
-  Table build({"layout", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
+  Table build({"alloc", "Mops/s", "steps/op", "blocks/op", "global hits/op",
+               "bytes/tower"});
   for (const auto& c : results)
     build.add_row({c.name, Table::num(c.build.mops, 3),
                    Table::num(c.build.steps_per_op, 2),
                    Table::num(c.build.blocks_per_op, 3),
-                   Table::num(c.build.hits_per_op, 5)});
+                   Table::num(c.build.hits_per_op, 5),
+                   Table::num(c.build.bytes_per_tower, 1)});
   build.print();
 
   lf::harness::print_section("(b) search: 400k random contains, 1 thread");
-  Table search({"layout", "Mops/s", "steps/op"});
+  Table search({"alloc", "Mops/s", "steps/op"});
   for (const auto& c : results)
     search.add_row({c.name, Table::num(c.search.mops, 3),
                     Table::num(c.search.steps_per_op, 2)});
@@ -245,7 +250,7 @@ int main() {
 
   lf::harness::print_section(
       "(c) churn: 4 threads, 45i/45d/10s, 2048 keys (recycle pressure)");
-  Table churn({"layout", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
+  Table churn({"alloc", "Mops/s", "steps/op", "blocks/op", "global hits/op"});
   for (const auto& c : results)
     churn.add_row({c.name, Table::num(c.churn.mops, 3),
                    Table::num(c.churn.steps_per_op, 2),
@@ -254,9 +259,9 @@ int main() {
   churn.print();
 
   std::cout << "Expected shape: steps/op identical down each column (the\n"
-               "algorithm is unchanged); flat halves blocks/op vs chained;\n"
-               "pool drives global hits/op to ~0; flat/pool leads the\n"
-               "wall-clock columns.\n\n";
+               "algorithm is unchanged); blocks/op is 1.000 per build insert;\n"
+               "pool drives global hits/op to ~0 and leads the wall-clock\n"
+               "columns; bytes/tower is the same for both allocators.\n\n";
 
   emit_json(results);
   return 0;

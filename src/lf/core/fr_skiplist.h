@@ -4,19 +4,22 @@
 // recover-instead-of-restart behaviour as FRList.
 //
 // Architecture (paper Figure 6): each key is represented by a TOWER of
-// nodes; the bottom node is the ROOT and represents the whole tower. Tower
-// height is chosen by fair coin flips (geometric, capped). Nodes of one
-// level form a sorted singly-linked list between the head tower and the
-// tail. Every node has:
+// levels 1..h; level 1 is the ROOT and represents the whole tower. Tower
+// height is chosen by fair coin flips (geometric, capped). The towers
+// linked at one level form a sorted singly-linked list between the head
+// tower and the tail. Each level v of a tower has its own
 //
-//     key, succ = (right, mark, flag), backlink   — as in FRList
-//     down        one level lower in the same tower (null for roots)
-//     tower_root  the tower's root node (== itself for roots)
-//     value       meaningful in root nodes only
+//     succ(v) = (right, mark, flag), backlink(v)   — as in FRList
 //
-// Insertion builds the tower bottom-up and is linearized when the root node
-// is inserted. Deletion deletes the root first — a tower whose root is
-// marked is SUPERFLUOUS — and then removes the remaining nodes top-down.
+// and the tower's key, value and retirement count are shared by all of its
+// levels. The paper draws one node per level with `down` and `tower_root`
+// pointers; here the whole tower is ONE node (see Node), so `down` is
+// level v-1 of the same node and the tower root is the node itself.
+//
+// Insertion builds the tower bottom-up and is linearized when the root
+// (level 1) is inserted. Deletion deletes the root first — a tower whose
+// root is marked is SUPERFLUOUS — and then removes the remaining levels
+// top-down.
 // Searches help deletions by physically deleting every superfluous node
 // they encounter; Section 4 explains that without this, an adversary can
 // force operations to repeatedly traverse a chain of backlinks of length
@@ -24,8 +27,9 @@
 //
 // Tower construction can be INTERRUPTED: while a process builds tower Q,
 // another process may mark Q's root. The builder checks the root after
-// every level it links; if the root got marked it stops, unlinking the node
-// it just added (if any), and still reports success (its root made it in).
+// every level it links; if the root got marked it stops, unlinking the
+// level it just added (if any), and still reports success (its root made
+// it in).
 //
 // Departures from the paper's presentation, all noted in DESIGN.md:
 //   * The head tower is preallocated at full height (MaxLevel), so the
@@ -39,19 +43,13 @@
 //     prose (every step of Section 4) plus the linked-list routines of
 //     Figures 3-5 they are explicitly built from.
 //
-// Memory layout is a template policy (mem/tower.h). The default,
-// mem::FlatTowers, allocates each tower as ONE contiguous 64-byte-aligned
-// block from a per-thread pool: the root's hot fields (succ, key) sit in
-// the block's first cache line, the down-descent stays inside the block,
-// and an insert costs one allocation instead of one per level.
-// mem::ChainedTowers reproduces the seed's per-level `new Node` placement
-// for the ablation benches (bench_memory_layout). Retirement is unchanged
-// either way: the whole tower is retired in one step when its last linked
-// node is unlinked (see the Node comments), which is exactly what lets a
-// flat block be freed as a unit.
+// Memory: every tower, head included, is one 64-byte-aligned block from
+// the allocation policy (mem::PoolAlloc by default, mem::HeapAlloc for the
+// ablation benches), so an insert costs exactly one allocation. The block
+// is retired in one step when the tower's last linked level is unlinked
+// (see the Node comments) and freed as a unit after the grace period.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -62,12 +60,13 @@
 #include <thread>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "lf/chaos/chaos.h"
 #include "lf/instrument/counters.h"
-#include "lf/mem/tower.h"
+#include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
 #include "lf/sync/backoff.h"
@@ -79,7 +78,8 @@
 namespace lf {
 
 // The extra template parameters beyond the paper's algorithm:
-//   Layout      memory layout policy (mem/tower.h), see below.
+//   Alloc       tower allocation policy (mem/pool.h): mem::PoolAlloc
+//               (default) or mem::HeapAlloc.
 //   Finger      sync::FingerOn (default) caches each thread's last descent
 //               (the lowest kFingerLevels (pred, succ) pairs) per structure
 //               instance and enters the next search at the lowest cached
@@ -89,9 +89,10 @@ namespace lf {
 //               the layer out entirely.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer, int MaxLevel = 24,
-          typename Layout = mem::FlatTowers, typename Finger = sync::FingerOn>
+          typename Alloc = mem::PoolAlloc, typename Finger = sync::FingerOn>
 class FRSkipList {
   static_assert(MaxLevel >= 2, "need at least two levels (erase cleanup)");
+  static_assert(MaxLevel <= 255, "levels are stored in one byte");
 
  public:
   using key_type = Key;
@@ -109,58 +110,82 @@ class FRSkipList {
   // higher so the top level is always an empty express lane.
   static constexpr int kMaxTowerHeight = MaxLevel - 1;
 
-  // Field order is cache-conscious: the members a search touches on every
-  // hop (succ, key, tower_root, kind) are declared first so they pack into
-  // the node's first cache line — which, under the flat layout, is also the
-  // first line of the tower's block. Recovery (backlink) and root-only
-  // bookkeeping follow. Both allocation policies hand out 64-byte-aligned
-  // blocks in whole lines, so adjacent nodes never share a line (the
-  // false-sharing padding the head tower needs comes from the allocator,
-  // not from inflating every node with alignas(64)).
+  // One node per tower. The header holds what every hop reads — key and
+  // kind — and the tower bookkeeping; the successor fields of levels
+  // 1..height follow it in the same block, and the cold backlinks come
+  // last (the RocksDB `next[height]` idiom):
+  //
+  //   [key | value | kind height top | tower_alive][succ(1..h)][backlink(1..h)]
+  //
+  // For <long, long> the header is 24 bytes, so the key, the kind, the
+  // root mark succ(1) and the successors of levels 1..5 share the block's
+  // first 64-byte line, and a tower of height 1 or 2 is one line. A hop at
+  // any level reads the key and the superfluous check's root mark from the
+  // line it already loaded, and a descent stays inside the block. Both
+  // allocation policies hand out 64-byte-aligned blocks in whole lines, so
+  // adjacent towers never share a line.
   struct alignas(8) Node {
     enum class Kind : unsigned char { kHead, kInterior, kTail };
 
-    Succ succ;
     Key key;
-    Node* tower_root;  // immutable; == this for root nodes
-    Node* down;        // immutable after construction
+    T value;
     Kind kind;
-    int level;           // 1-based; immutable
-    int planned_height;  // roots: the coin-flip height (census/E6); else 0
-    T value;  // meaningful in root nodes only
-    std::atomic<Node*> backlink{nullptr};
+    std::uint8_t height;  // planned (coin-flip) height; levels 1..height
+    // Highest level announced for linking. erase's cleanup sweep must enter
+    // at or above it; an abandoned link attempt rolls it back.
+    std::atomic<std::uint8_t> top{1};
 
-    // Tower-retirement bookkeeping, meaningful on ROOT nodes only.
-    //
-    // Per-node retirement at unlink time would be unsound here: a node
-    // unlinked at level v stays reachable through the `down` pointer of its
-    // still-linked level v+1 sibling, so a reader pinned AFTER the unlink
-    // could still dereference it. Instead the whole tower is retired in one
-    // step when its last linked node is unlinked: any reader that can reach
-    // any tower node (by list traversal, backlink, or down-descent) was
+    // Tower retirement. Per-level retirement at unlink time would be
+    // unsound: a level unlinked at v stays reachable by descending from the
+    // tower's still-linked level v+1. Instead the tower is retired in one
+    // step when its last linked level is unlinked: any reader that can
+    // reach the tower (by list traversal, backlink, or descent) was
     // necessarily pinned before that single retire point, so one grace
-    // period covers every node of the tower.
+    // period covers the whole block.
     //
-    // tower_alive counts nodes that are linked or about to be linked (the
+    // tower_alive counts levels that are linked or about to be linked (the
     // inserter increments before attempting to link, and pre-publishes
-    // tower_top, so the count can only reach zero when no link attempt is
-    // in flight and every linked node has been unlinked). The unlinker or
-    // abandoner that drops it to zero walks tower_top -> down -> ... -> root
-    // and retires each node.
+    // `top`, so the count can only reach zero when no link attempt is in
+    // flight and every linked level has been unlinked). The unlinker or
+    // abandoner that drops it to zero retires the block.
     std::atomic<int> tower_alive{1};
-    std::atomic<Node*> tower_top{nullptr};
 
-    Node(Kind k, int lvl, Key key_arg, T value_arg, Node* down_arg,
-         Node* root_arg)
+    Node(Kind k, int h, Key key_arg, T value_arg)
         : key(std::move(key_arg)),
-          tower_root(root_arg == nullptr ? this : root_arg),
-          down(down_arg),
+          value(std::move(value_arg)),
           kind(k),
-          level(lvl),
-          planned_height(0),
-          value(std::move(value_arg)) {
-      if (root_arg == nullptr) tower_top.store(this,
-                                               std::memory_order_relaxed);
+          height(static_cast<std::uint8_t>(h)) {
+      for (int v = 1; v <= h; ++v) {
+        ::new (lane(v - 1)) Succ();
+        ::new (lane(h + v - 1)) std::atomic<Node*>(nullptr);
+      }
+    }
+
+    Succ& succ(int v) noexcept {
+      return *std::launder(static_cast<Succ*>(lane(v - 1)));
+    }
+    const Succ& succ(int v) const noexcept {
+      return const_cast<Node*>(this)->succ(v);
+    }
+    std::atomic<Node*>& backlink(int v) noexcept {
+      return *std::launder(
+          static_cast<std::atomic<Node*>*>(lane(height + v - 1)));
+    }
+
+    // Block size of a tower of height h.
+    static constexpr std::size_t bytes(int h) noexcept {
+      return sizeof(Node) + static_cast<std::size_t>(2 * h) * kLane;
+    }
+
+   private:
+    static constexpr std::size_t kLane = sizeof(Succ);
+    static_assert(sizeof(Succ) == sizeof(std::atomic<Node*>) &&
+                  alignof(Succ) <= 8);
+
+    // i-th word after the header: succ(1..h), then backlink(1..h).
+    void* lane(int i) noexcept {
+      return reinterpret_cast<char*>(this) + sizeof(Node) +
+             static_cast<std::size_t>(i) * kLane;
     }
   };
 
@@ -169,24 +194,16 @@ class FRSkipList {
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
       : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
-    // Sentinels go through the layout's allocator too: every head level
-    // lands in its own cache line (the allocator hands out whole lines),
-    // so concurrent traffic on adjacent head levels cannot false-share.
-    tail_ = Layout::template make_sentinel<Node>(Node::Kind::kTail, 0, Key{},
-                                                 T{}, nullptr, nullptr);
-    Node* below = nullptr;
-    for (int v = 1; v <= MaxLevel; ++v) {
-      head_[v] = Layout::template make_sentinel<Node>(
-          Node::Kind::kHead, v, Key{}, T{}, below, nullptr);
-      head_[v]->succ.store_unsynchronized(View{tail_, false, false});
-      below = head_[v];
-    }
+    // The head is one full-height tower; the tail is shared by all levels.
+    tail_ = make_tower(Node::Kind::kTail, 1, Key{}, T{});
+    head_ = make_tower(Node::Kind::kHead, MaxLevel, Key{}, T{});
+    for (int v = 1; v <= MaxLevel; ++v)
+      head_->succ(v).store_unsynchronized(View{tail_, false, false});
     top_hint_.store(1, std::memory_order_relaxed);
   }
 
-  // Destruction requires quiescence. Under the flat layout each level-1
-  // node is a tower root owning one block for its whole tower; under the
-  // chained layout every linked node is freed individually per level.
+  // Destruction requires quiescence: every linked tower is linked at level
+  // 1 and owns one block.
   ~FRSkipList() {
     if constexpr (kFingerActive && FingerPol::kPublishes) {
       // Null every retained hazard slot still pointing into this instance
@@ -194,25 +211,14 @@ class FRSkipList {
       // into freed memory (see core/fr_list.h destructor).
       reclaimer_.finger_invalidate(finger_id_);
     }
-    if constexpr (Layout::kFlat) {
-      Node* n = head_[1]->succ.load().right;
-      while (n->kind != Node::Kind::kTail) {
-        Node* next = n->succ.load().right;
-        Layout::template destroy_tower<Node>(n);
-        n = next;
-      }
-    } else {
-      for (int v = 1; v <= MaxLevel; ++v) {
-        Node* n = head_[v]->succ.load().right;
-        while (n->kind != Node::Kind::kTail) {
-          Node* next = n->succ.load().right;
-          Layout::template destroy_node<Node>(n);
-          n = next;
-        }
-      }
+    Node* n = head_->succ(1).load().right;
+    while (n->kind != Node::Kind::kTail) {
+      Node* next = n->succ(1).load().right;
+      destroy_tower(n);
+      n = next;
     }
-    for (int v = 1; v <= MaxLevel; ++v) Layout::free_sentinel(head_[v]);
-    Layout::free_sentinel(tail_);
+    destroy_tower(head_);
+    destroy_tower(tail_);
   }
 
   FRSkipList(const FRSkipList&) = delete;
@@ -221,9 +227,8 @@ class FRSkipList {
   // ---- Dictionary operations (Insert_SL / Delete_SL / Search_SL) -------
 
   // insert_checked distinguishes "key already present" from "allocation
-  // failed". A root allocation that throws is absorbed before anything is
-  // linked; an upper-level allocation that throws truncates the tower but
-  // the root IS in, so the insert still succeeded.
+  // failed". The tower's one allocation happens before anything is linked,
+  // so a throw is absorbed with nothing to undo.
   enum class InsertStatus { kInserted, kDuplicate, kNoMemory };
 
   bool insert(const Key& k, T value) {
@@ -238,7 +243,7 @@ class FRSkipList {
   }
 
   // Test hook: insert with a chosen tower height instead of coin flips, so
-  // fault-injection tests can target a specific upper-level allocation.
+  // tests can build a fixed shape and target a specific upper level.
   InsertStatus insert_with_height(const Key& k, T value, int tower_height) {
     assert(tower_height >= 1 && tower_height <= kMaxTowerHeight);
     return insert_impl(k, std::move(value), tower_height);
@@ -250,19 +255,18 @@ class FRSkipList {
     auto [prev, del] = search_to_level<false>(k, 1);
     bool erased = false;
     if (node_eq(del, k)) {
-      erased = delete_node(prev, del);
+      erased = delete_node(prev, del, 1);
       if (erased) {
         // Delete_SL: re-search down to level 2 to physically delete the
         // rest of the now-superfluous tower, top-down. The sweep must
         // ENTER at or above the tower's top — a finger entry below it
         // would leave the levels above the entry linked — so pass the
-        // tower's height as the minimum finger entry level. tower_top is
-        // pre-published before every level link, so it covers every node
-        // a concurrent builder managed to link (any node linked after
+        // tower's top as the minimum finger entry level. `top` is
+        // pre-published before every level link, so it covers every level
+        // a concurrent builder managed to link (any level linked after
         // this read is removed by the builder itself when it sees the
         // marked root).
-        Node* top = del->tower_root->tower_top.load(std::memory_order_acquire);
-        search_to_level<true>(k, 2, top != nullptr ? top->level : MaxLevel);
+        search_to_level<true>(k, 2, del->top.load(std::memory_order_acquire));
       }
     }
     stats::tls().op_erase.inc();
@@ -289,13 +293,13 @@ class FRSkipList {
 
   // ---- Snapshot / diagnostics ------------------------------------------
 
-  // Count of regular root nodes. O(n); approximate under concurrency.
+  // Count of unmarked towers. O(n); approximate under concurrency.
   std::size_t size() const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     std::size_t n = 0;
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
+    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
+         p = p->succ(1).load().right) {
+      if (!p->succ(1).load().mark) ++n;
     }
     return n;
   }
@@ -305,9 +309,9 @@ class FRSkipList {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) fn(p->key, p->value);
+    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
+         p = p->succ(1).load().right) {
+      if (!p->succ(1).load().mark) fn(p->key, p->value);
     }
   }
 
@@ -327,9 +331,9 @@ class FRSkipList {
     auto [prev, curr] = search_to_level<false>(lo, 1);  // prev.key < lo
     (void)prev;
     for (Node* p = curr; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
+         p = p->succ(1).load().right) {
       if (!node_lt(p, hi)) break;  // p.key >= hi
-      if (!p->succ.load().mark) fn(p->key, p->value);
+      if (!p->succ(1).load().mark) fn(p->key, p->value);
     }
   }
 
@@ -345,9 +349,9 @@ class FRSkipList {
   // accessor priority queues need (see lf/extras/priority_queue.h).
   std::optional<std::pair<Key, T>> first() const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_[1]->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) return std::make_pair(p->key, p->value);
+    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
+         p = p->succ(1).load().right) {
+      if (!p->succ(1).load().mark) return std::make_pair(p->key, p->value);
     }
     return std::nullopt;
   }
@@ -355,9 +359,6 @@ class FRSkipList {
   int top_level_hint() const noexcept {
     return top_hint_.load(std::memory_order_relaxed);
   }
-
-  // Human-readable name of the memory-layout policy (bench labels).
-  static constexpr const char* layout_name() noexcept { return Layout::kName; }
 
   // ---- Invariant validation & census (tests / E6; quiescent only) ------
 
@@ -369,41 +370,37 @@ class FRSkipList {
 
   ValidationReport validate() const {
     ValidationReport rep;
-    std::size_t roots = 0;
+    // Towers linked at the level below: a tower's linked levels must be
+    // contiguous from 1 (built bottom-up, removed top-down).
+    std::unordered_set<const Node*> below, here;
     for (int v = 1; v <= MaxLevel; ++v) {
-      const Node* prev = head_[v];
-      const Node* curr = prev->succ.load().right;
-      if (prev->succ.load().mark || prev->succ.load().flag)
+      const Node* prev = head_;
+      const Node* curr = prev->succ(v).load().right;
+      if (prev->succ(v).load().mark || prev->succ(v).load().flag)
         return fail(rep, "head marked or flagged");
+      here.clear();
       while (curr->kind != Node::Kind::kTail) {
-        const View cv = curr->succ.load();
+        if (curr->height < v) return fail(rep, "tower linked above its height");
+        const View cv = curr->succ(v).load();
         if (cv.mark) return fail(rep, "linked node marked at quiescence");
         if (cv.flag) return fail(rep, "linked node flagged at quiescence");
         if (prev->kind == Node::Kind::kInterior &&
             !comp_(prev->key, curr->key))
           return fail(rep, "INV1 violated: keys not strictly sorted");
-        if (curr->level != v) return fail(rep, "node on wrong level");
-        if (v == 1) {
-          ++roots;
-          if (curr->tower_root != curr || curr->down != nullptr)
-            return fail(rep, "root node vertical structure broken");
-        } else {
-          if (curr->down == nullptr || curr->down->level != v - 1)
-            return fail(rep, "down pointer broken");
-          if (!keys_equal(curr->down->key, curr->key))
-            return fail(rep, "tower keys differ across levels");
-          if (curr->tower_root->succ.load().mark)
+        if (v > 1) {
+          if (below.count(curr) == 0)
+            return fail(rep, "tower linked at a level but not the one below");
+          if (curr->succ(1).load().mark)
             return fail(rep, "superfluous node linked at quiescence");
         }
+        here.insert(curr);
         ++rep.node_count;
         prev = curr;
         curr = cv.right;
         if (curr == nullptr) return fail(rep, "level does not reach tail");
       }
+      std::swap(below, here);
     }
-    // Every upper node's tower_root must itself be linked at level 1; since
-    // all linked roots are unmarked here, tower_root unmarked was checked.
-    (void)roots;
     return rep;
   }
 
@@ -420,16 +417,16 @@ class FRSkipList {
     TowerCensus out;
     std::unordered_map<const Node*, int> height;
     for (int v = 1; v <= MaxLevel; ++v) {
-      for (const Node* p = head_[v]->succ.load().right;
-           p->kind != Node::Kind::kTail; p = p->succ.load().right) {
-        auto [it, fresh] = height.emplace(p->tower_root, v);
+      for (const Node* p = head_->succ(v).load().right;
+           p->kind != Node::Kind::kTail; p = p->succ(v).load().right) {
+        auto [it, fresh] = height.emplace(p, v);
         if (!fresh && v > it->second) it->second = v;
       }
     }
-    for (const auto& [root, h] : height) {
+    for (const auto& [tower, h] : height) {
       ++out.height_counts[h];
       ++out.towers;
-      if (h >= root->planned_height) {
+      if (h >= tower->height) {
         ++out.full;
       } else {
         ++out.incomplete;
@@ -438,7 +435,7 @@ class FRSkipList {
     return out;
   }
 
-  Node* head(int level) const { return head_[level]; }
+  Node* head() const noexcept { return head_; }
   Node* tail() const noexcept { return tail_; }
 
  private:
@@ -453,68 +450,71 @@ class FRSkipList {
       stats::tls().op_insert.inc();
       return InsertStatus::kDuplicate;  // DUPLICATE_KEY
     }
-    Node* root = nullptr;
+    Node* node = nullptr;
     try {
-      root = Layout::template make_root<Node>(tower_height,
-                                              Node::Kind::kInterior, 1, k,
-                                              std::move(value), nullptr,
-                                              nullptr);
+      node = make_tower(Node::Kind::kInterior, tower_height, k,
+                        std::move(value));
     } catch (const std::bad_alloc&) {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
     }
-    Node* node = root;
     int curr_v = 1;
     for (;;) {
-      auto [new_prev, result] = insert_node(node, prev, next);
+      auto [new_prev, result] = insert_node(node, prev, next, curr_v);
       prev = new_prev;
       if (result == InsertResult::kDuplicate) {
         if (curr_v == 1) {
           // Never published; nobody else can hold it.
-          Layout::free_unpublished_root(root);
+          destroy_tower(node);
           stats::tls().op_insert.inc();
           return InsertStatus::kDuplicate;
         }
         // A same-key tower exists at an upper level: only possible after
-        // our root was deleted and the key reinserted. Abandon the node
-        // (never linked): roll tower_top back to the highest linked node
-        // and release the reference taken before the attempt.
-        root->tower_top.store(node->down, std::memory_order_release);
-        Layout::free_unpublished_upper(node);
-        release_tower_ref(root);
+        // our root was deleted and the key reinserted. Abandon the level
+        // (never linked): roll `top` back to the highest linked level and
+        // release the reference taken before the attempt.
+        node->top.store(static_cast<std::uint8_t>(curr_v - 1),
+                        std::memory_order_release);
+        release_tower_ref(node);
         break;
       }
-      if (root->succ.load().mark) {
+      if (node->succ(1).load().mark) {
         // Construction interrupted by a deletion of our root (Section 4).
-        // Remove the node we just linked above the (now superfluous) tower,
-        // then finish: the root WAS inserted, so we report success.
-        if (node != root) delete_node(prev, node);
+        // Remove the level we just linked above the (now superfluous)
+        // root, then finish: the root WAS inserted, so we report success.
+        if (curr_v != 1) delete_node(prev, node, curr_v);
         break;
       }
       raise_top_hint(curr_v);
       if (curr_v == tower_height) break;  // tower complete
       ++curr_v;
-      Node* below = node;
       LF_CHAOS_POINT(kSkipTowerBuild);
       // Announce the upcoming link BEFORE attempting it (see Node docs):
-      // while tower_alive includes this node, nobody can retire the tower,
-      // so pre-publishing tower_top is race-free. If the tower already died
+      // while tower_alive includes this level, nobody can retire the tower,
+      // so pre-publishing `top` is race-free. If the tower already died
       // (count reached zero), it must NOT be resurrected: stop building.
-      if (!acquire_tower_ref(root)) break;
-      try {
-        node = Layout::make_upper(root, curr_v, Node::Kind::kInterior,
-                                  curr_v, k, T{}, below, root);
-      } catch (const std::bad_alloc&) {
-        // Out of memory above a linked root: give back the announced
-        // reference and stop with a truncated (still valid) tower.
-        release_tower_ref(root);
-        break;
-      }
-      root->tower_top.store(node, std::memory_order_release);
+      if (!acquire_tower_ref(node)) break;
+      node->top.store(static_cast<std::uint8_t>(curr_v),
+                      std::memory_order_release);
       std::tie(prev, next) = search_to_level<true>(k, curr_v);
     }
     stats::tls().op_insert.inc();
     return InsertStatus::kInserted;
+  }
+
+  static Node* make_tower(typename Node::Kind kind, int height, Key key,
+                          T value) {
+    void* block = Alloc::allocate(Node::bytes(height));
+    return ::new (block) Node(kind, height, std::move(key), std::move(value));
+  }
+
+  // Frees a tower's block: the reclaimer's deleter for retired towers, and
+  // the direct path for never-published towers and teardown.
+  static void destroy_tower(void* p) {
+    Node* n = static_cast<Node*>(p);
+    const std::size_t bytes = Node::bytes(n->height);
+    n->~Node();
+    Alloc::deallocate(p, bytes);
   }
 
   // ---- Chaos instrumentation -------------------------------------------
@@ -547,9 +547,6 @@ class FRSkipList {
   bool node_eq(const Node* n, const Key& k) const {
     return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
            !comp_(k, n->key);
-  }
-  bool keys_equal(const Key& a, const Key& b) const {
-    return !comp_(a, b) && !comp_(b, a);
   }
 
   static Xoshiro256& tls_rng() {
@@ -594,25 +591,15 @@ class FRSkipList {
   static constexpr int kWays = sync::kFingerCacheWays;
   // Publishing policies (hazard pointers) pair every cached pred with a
   // retained slot, and a slot only protects what it holds if that address
-  // is a RETIRED OBJECT address. Under the FLAT layout the whole tower is
-  // one retired block whose address is the level-1 root, and every node
-  // carries an immutable tower_root — so each fingered level retains its
-  // ways' preds' ROOTS in its own GROUP of slots (level l, way w lives in
-  // entry (l-1) * kWays + w of FingerPol::kPublishedEntries), and a slot
-  // match keeps the whole block, interior pred included, dereferenceable.
-  // A CHAINED layout retires towers per node; only the level-1 node's
-  // address is both cacheable and retireable, so the finger degrades to
-  // level 1 there (the same restriction the RC variant's level-1 cache
-  // lives with) — still with its full way set.
+  // is a RETIRED OBJECT address. A cached pred is a tower, and a tower is
+  // exactly one retired block — so each fingered level retains its ways'
+  // preds themselves in its own GROUP of slots (level l, way w lives in
+  // entry (l-1) * kWays + w of FingerPol::kPublishedEntries).
   static constexpr int kMaxFingerLevels =
       4 < kMaxTowerHeight ? 4 : kMaxTowerHeight;
   static constexpr int kFingerLevels =
-      FingerPol::kPublishes
-          ? (Layout::kFlat
-                 ? (kMaxFingerLevels < FingerPol::kPublishedGroups
-                        ? kMaxFingerLevels
-                        : FingerPol::kPublishedGroups)
-                 : 1)
+      FingerPol::kPublishes && FingerPol::kPublishedGroups < kMaxFingerLevels
+          ? FingerPol::kPublishedGroups
           : kMaxFingerLevels;
   static_assert(!FingerPol::kPublishes ||
                     (kFingerLevels * kWays <= FingerPol::kPublishedEntries &&
@@ -635,7 +622,6 @@ class FRSkipList {
     std::uint64_t instance = 0;
     struct Entry {
       Node* pred = nullptr;
-      Node* root = nullptr;  // pred->tower_root at save (publishing only)
       std::uint64_t token = 0;
       Key pred_key{};  // meaningful unless pred_head
       Key succ_key{};  // meaningful unless succ_tail
@@ -656,16 +642,14 @@ class FRSkipList {
 
   // Type-erased backlink-chain step for HazardDomain's chain-protecting
   // scan (see core/fr_list.h::finger_chain_walker — identical contract).
-  // Paired with finger entry 0 only, which always holds a level-1 root: a
-  // level-1 backlink targets the level-1 predecessor, so the chain stays
-  // within retired-address territory (tower roots). Upper finger entries
-  // are never walked — a marked upper pred falls through to the next level
-  // instead of recovering, because a level-l backlink (l > 1) targets
-  // another tower's INTERIOR node, whose address no slot could protect.
+  // Paired with finger entry 0 only, which always holds a level-1 pred:
+  // the chain follows level-1 marks and backlinks. Upper finger entries
+  // are never walked — a marked upper pred falls through to the next
+  // level instead of recovering.
   static void* finger_chain_walker(void* p) {
     Node* n = static_cast<Node*>(p);
-    if (!n->succ.load().mark) return nullptr;
-    return n->backlink.load(std::memory_order_acquire);
+    if (!n->succ(1).load().mark) return nullptr;
+    return n->backlink(1).load(std::memory_order_acquire);
   }
 
   // Level the plain head descent would enter at.
@@ -722,50 +706,41 @@ class FRSkipList {
     if (refresh) sync::finger_freq_bump(e.freq);
     else e.freq = 0;
     lv.fresh = w;
-    if constexpr (FingerPol::kPublishes) {
-      // Cache the address the retained slot will hold: the pred's tower
-      // root — the address retire_tower hands the reclaimer (the
-      // whole-block pointer under the flat layout; pred itself at level 1).
-      // pred was just found unmarked (hence linked, hence unreclaimed)
-      // under the still-held guard, so the deref is safe. The publication
-      // itself happens once per search, in publish_fingers().
-      e.root = pred->tower_root;
-    }
   }
 
   // Publishing policies only: rewrite the retained hazard slots after a
   // search refreshed one way on each of levels [lo, hi]. A refreshed way
-  // publishes the root cached at save time — publish-while-alive holds
-  // because its pred was found linked under the STILL-HELD guard, and a
+  // publishes its pred — publish-while-alive holds because the pred was
+  // found linked under the STILL-HELD guard, and a
   // concurrent retirement parks in the epoch stage until this pin ends
   // (the epoch bridge, reclaim/hazard.h). Any other way is kept only if
-  // its slot still holds its root: protection was then continuous since
+  // its slot still holds its pred: protection was then continuous since
   // its own publish-while-alive moment, so republishing the same address
   // into the same slot extends it soundly. Anything else is dead — its
   // slot is published null and the way cleared so it is never
   // dereferenced.
   void publish_fingers(FingerSlot& slot, int lo, int hi) const {
     if (slot.instance != finger_id_ || lo > kFingerLevels) return;
-    void* roots[kFingerLevels * kWays];
+    void* preds[kFingerLevels * kWays];
     for (int l = 1; l <= kFingerLevels; ++l) {
       auto& lv = slot.level[l];
       for (int w = 0; w < kWays; ++w) {
         auto& e = lv.way[w];
         const int idx = finger_entry_index(l, w);
         if (e.pred == nullptr) {
-          roots[idx] = nullptr;
+          preds[idx] = nullptr;
         } else if (l >= lo && l <= hi && w == lv.fresh) {
-          roots[idx] = e.root;  // refreshed this search
-        } else if (reclaimer_.finger_reacquire(e.root, finger_id_, idx)) {
-          roots[idx] = e.root;  // stale but continuously protected
+          preds[idx] = e.pred;  // refreshed this search
+        } else if (reclaimer_.finger_reacquire(e.pred, finger_id_, idx)) {
+          preds[idx] = e.pred;  // stale but continuously protected
         } else {
-          roots[idx] = nullptr;  // evicted since its publish: dead way
+          preds[idx] = nullptr;  // evicted since its publish: dead way
           e.pred = nullptr;
         }
       }
     }
     LF_CHAOS_POINT(kSkipFingerPublish);
-    reclaimer_.finger_publish(roots, kFingerLevels * kWays,
+    reclaimer_.finger_publish(preds, kFingerLevels * kWays,
                               &finger_chain_walker, finger_id_, kWays);
   }
 
@@ -793,10 +768,10 @@ class FRSkipList {
       for (int lvl = lo; lvl <= kFingerLevels; ++lvl) {
         auto& lv = slot.level[lvl];
         // Equality (pred.key == k) is admitted only for a Closed search
-        // entering at its own target when that target is level 1: there the
-        // cached pred is a tower ROOT, so "unmarked" below directly implies
-        // it is not superfluous. At upper levels an equal-key start could
-        // sit ON a superfluous node and SearchRight — which only examines
+        // entering at its own target when that target is level 1: there
+        // "unmarked" below is the ROOT mark, so it directly implies the
+        // pred is not superfluous. At upper levels an equal-key start could
+        // sit ON a superfluous tower and SearchRight — which only examines
         // successors — would never physically delete it, leaving erase's
         // cleanup pass a no-op.
         const bool allow_eq = Closed && lvl == v && v == 1;
@@ -821,14 +796,12 @@ class FRSkipList {
         if (w < 0) continue;
         auto& e = lv.way[w];
         // Publishing policies: re-acquire this way's retained hazard
-        // slot — which holds the pred's tower ROOT — before the first
+        // slot — which holds the pred tower — before the first
         // dereference (see core/fr_list.h::finger_start — a mismatch means
         // protection was not continuous and the cached pointer may be
-        // freed memory; fail closed to the next level / head descent). A
-        // match keeps the whole tower block alive, so dereferencing the
-        // interior pred below is sound.
+        // freed memory; fail closed to the next level / head descent).
         if constexpr (FingerPol::kPublishes) {
-          if (!reclaimer_.finger_reacquire(e.root, finger_id_,
+          if (!reclaimer_.finger_reacquire(e.pred, finger_id_,
                                            finger_entry_index(lvl, w))) {
             e.pred = nullptr;  // dead way; stop probing it
             continue;
@@ -837,14 +810,13 @@ class FRSkipList {
         LF_CHAOS_POINT(kSkipFingerValidate);
         Node* start = e.pred;
         std::uint64_t chain = 0;
-        // Backlink recovery is level-1-only under a publishing policy: a
-        // level-l backlink (l > 1) targets another tower's interior node,
-        // which no slot publication could protect (its address is never a
-        // retired-object address). A marked upper pred falls through to
-        // the next cached level instead.
+        // Backlink recovery is level-1-only under a publishing policy: the
+        // domain's chain-protecting scan walks level-1 chains only (see
+        // finger_chain_walker). A marked upper pred falls through to the
+        // next cached level instead.
         if (!FingerPol::kPublishes || lvl == 1) {
-          while (start->succ.load().mark) {
-            Node* back = start->backlink.load(std::memory_order_acquire);
+          while (start->succ(lvl).load().mark) {
+            Node* back = start->backlink(lvl).load(std::memory_order_acquire);
             if (back == nullptr) break;  // defensive; marked => backlink set
             if constexpr (FingerPol::kPublishes) {
               // Publish the hop before dereferencing it (liveness is
@@ -859,7 +831,7 @@ class FRSkipList {
           }
         }
         if (chain > 0) stats::chain_hist_tls().record(chain);
-        if (start->succ.load().mark) continue;  // try the next level up
+        if (start->succ(lvl).load().mark) continue;  // try the next level up
         sync::finger_freq_bump(e.freq);
         c.finger_hit.inc();
         const int head_v = head_entry_level(v);
@@ -894,18 +866,17 @@ class FRSkipList {
     }
     if (curr == nullptr) {
       curr_v = head_entry_level(v);
-      curr = head_[curr_v];
+      curr = head_;
     }
     [[maybe_unused]] const int entry_v = curr_v;
     Node* next = nullptr;
     while (curr_v > v) {
-      std::tie(curr, next) = search_right<false>(k, curr);
+      std::tie(curr, next) = search_right<false>(k, curr, curr_v);
       if constexpr (kFingerActive)
         save_finger(*slot, curr_v, curr, next, token);
-      curr = curr->down;
-      --curr_v;
+      --curr_v;  // Section 4's `down`: the same tower, one level lower
     }
-    auto out = search_right<Closed>(k, curr);
+    auto out = search_right<Closed>(k, curr, v);
     if constexpr (kFingerActive) {
       save_finger(*slot, v, out.first, out.second, token);
       if constexpr (FingerPol::kPublishes)
@@ -920,30 +891,33 @@ class FRSkipList {
   // "SearchRight deletes the superfluous nodes along its way, performing
   // all three deletion steps if necessary, whereas SearchFrom physically
   // deletes only those nodes that are already logically deleted."
+  // Every routine below works on one level v of the towers it is given.
   template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr) const {
+  std::pair<Node*, Node*> search_right(const Key& k, Node* curr,
+                                       int v) const {
     auto& c = stats::tls();
     auto advances = [&](const Node* n) {
       return Closed ? node_le(n, k) : node_lt(n, k);
     };
-    Node* next = curr->succ.load().right;
+    Node* next = curr->succ(v).load().right;
     LF_PREFETCH(next);
     for (;;) {
-      // Delete every superfluous tower node on the search path (root
-      // marked). The trigger is key <= k in BOTH search modes: a strict
-      // (k - eps) search never steps INTO a node with key == k, but the
-      // erase cleanup descends with exactly that key and must still remove
-      // the tower's upper nodes, and removal never moves curr rightward,
-      // so the postcondition of either mode is preserved.
+      // Delete every superfluous tower on the search path (root marked;
+      // succ(1) shares the line the key was just read from). The trigger
+      // is key <= k in BOTH search modes: a strict (k - eps) search never
+      // steps INTO a node with key == k, but the erase cleanup descends
+      // with exactly that key and must still remove the tower's upper
+      // levels, and removal never moves curr rightward, so the
+      // postcondition of either mode is preserved.
       while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
-             next->tower_root->succ.load().mark) {
-        auto [new_curr, status, flagged] = try_flag_node(curr, next);
+             next->succ(1).load().mark) {
+        auto [new_curr, status, flagged] = try_flag_node(curr, next, v);
         curr = new_curr;
         if (status == FlagStatus::kIn) {
           (void)flagged;
-          help_flagged(curr, next);
+          help_flagged(curr, next, v);
         }
-        next = curr->succ.load().right;
+        next = curr->succ(v).load().right;
         LF_PREFETCH(next);
         c.next_update.inc();
       }
@@ -953,7 +927,7 @@ class FRSkipList {
       c.curr_update.inc();
       // The hop is a dependent-load chain; start pulling in the next node's
       // line while this iteration finishes its key compare (util/prefetch.h).
-      next = curr->succ.load().right;
+      next = curr->succ(v).load().right;
       LF_PREFETCH(next);
     }
     return {curr, next};
@@ -961,78 +935,77 @@ class FRSkipList {
 
   // ---- level-local deletion machinery (Figures 3-5, per level) ----------
 
-  void help_marked(Node* prev, Node* del) const {
+  void help_marked(Node* prev, Node* del, int v) const {
     LF_CHAOS_POINT(kSkipHelpMarked);
     stats::tls().help_marked.inc();
-    Node* next = del->succ.load().right;
+    Node* next = del->succ(v).load().right;
     const View result =
-        chaos_cas(chaos::Site::kSkipUnlinkCas, prev->succ,
+        chaos_cas(chaos::Site::kSkipUnlinkCas, prev->succ(v),
                   View{del, false, true}, View{next, false, false});
     if (result == View{del, false, true}) {
       stats::tls().pdelete_cas.inc();
-      release_tower_ref(del->tower_root);
+      release_tower_ref(del);
     }
   }
 
   // Take a reference on a tower for an upcoming link attempt; fails (and
   // must abort the attempt) if the tower is already fully unlinked, since a
   // zero count means retirement has begun and may not be undone.
-  bool acquire_tower_ref(Node* root) const {
-    int alive = root->tower_alive.load(std::memory_order_acquire);
+  bool acquire_tower_ref(Node* tower) const {
+    int alive = tower->tower_alive.load(std::memory_order_acquire);
     while (alive > 0) {
-      if (root->tower_alive.compare_exchange_weak(alive, alive + 1,
-                                                  std::memory_order_acq_rel))
+      if (tower->tower_alive.compare_exchange_weak(alive, alive + 1,
+                                                   std::memory_order_acq_rel))
         return true;
     }
     return false;
   }
 
   // Drop one reference on a tower; the thread that releases the last one
-  // retires the whole tower in a single step (see Node docs) — per node
-  // under the chained layout, one block under the flat layout.
-  void release_tower_ref(Node* root) const {
-    if (root->tower_alive.fetch_sub(1, std::memory_order_acq_rel) != 1)
+  // retires the whole block in a single step (see Node docs).
+  void release_tower_ref(Node* tower) const {
+    if (tower->tower_alive.fetch_sub(1, std::memory_order_acq_rel) != 1)
       return;
-    Layout::retire_tower(reclaimer_, root);
+    reclaimer_.retire_with(tower, &destroy_tower);
   }
 
-  void help_flagged(Node* prev, Node* del) const {
+  void help_flagged(Node* prev, Node* del, int v) const {
     LF_CHAOS_POINT(kSkipHelpFlagged);
     stats::tls().help_flagged.inc();
-    del->backlink.store(prev, std::memory_order_release);
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
+    del->backlink(v).store(prev, std::memory_order_release);
+    if (!del->succ(v).load().mark) try_mark(del, v);
+    help_marked(prev, del, v);
   }
 
-  void try_mark(Node* del) const {
+  void try_mark(Node* del, int v) const {
     do {
-      Node* next = del->succ.load().right;
+      Node* next = del->succ(v).load().right;
       const View result =
-          chaos_cas(chaos::Site::kSkipMarkCas, del->succ,
+          chaos_cas(chaos::Site::kSkipMarkCas, del->succ(v),
                     View{next, false, false}, View{next, true, false});
       if (result == View{next, false, false}) {
         stats::tls().mark_cas.inc();
       } else if (result.flag && !result.mark) {
-        help_flagged(del, result.right);
+        help_flagged(del, result.right, v);
       }
-    } while (!del->succ.load().mark);
+    } while (!del->succ(v).load().mark);
   }
 
   enum class FlagStatus { kIn, kDeleted };
 
-  // TryFlagNode: flag target's predecessor on target's level. Returns the
-  // updated predecessor, whether target is still in the list, and whether
-  // THIS call placed the flag.
-  std::tuple<Node*, FlagStatus, bool> try_flag_node(Node* prev,
-                                                    Node* target) const {
+  // TryFlagNode: flag target's predecessor on level v. Returns the updated
+  // predecessor, whether target is still in the list, and whether THIS
+  // call placed the flag.
+  std::tuple<Node*, FlagStatus, bool> try_flag_node(Node* prev, Node* target,
+                                                    int v) const {
     auto& c = stats::tls();
     sync::Backoff backoff;
     for (;;) {
-      if (prev->succ.load() == View{target, false, true}) {
+      if (prev->succ(v).load() == View{target, false, true}) {
         return {prev, FlagStatus::kIn, false};
       }
       const View result =
-          chaos_cas(chaos::Site::kSkipFlagCas, prev->succ,
+          chaos_cas(chaos::Site::kSkipFlagCas, prev->succ(v),
                     View{target, false, false}, View{target, false, true});
       if (result == View{target, false, false}) {
         c.flag_cas.inc();
@@ -1045,64 +1018,64 @@ class FRSkipList {
       // (failure path only — no counted steps, no fast-path cost).
       backoff.pause();
       std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
+      while (prev->succ(v).load().mark) {
         LF_CHAOS_POINT(kSkipBacklinkStep);
         c.backlink_traversal.inc();
         ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
+        prev = prev->backlink(v).load(std::memory_order_acquire);
       }
       if (chain > 0) stats::chain_hist_tls().record(chain);
-      auto [new_prev, del] = search_right<false>(target->key, prev);
+      auto [new_prev, del] = search_right<false>(target->key, prev, v);
       if (del != target) return {new_prev, FlagStatus::kDeleted, false};
       prev = new_prev;
     }
   }
 
-  // DeleteNode: the three-step deletion of one node on its level. Returns
+  // DeleteNode: the three-step deletion of one level of a tower. Returns
   // true iff this operation's flag initiated the deletion (the caller may
   // then report success for the dictionary-level Delete).
-  bool delete_node(Node* prev, Node* del) const {
-    auto [flag_prev, status, flagged] = try_flag_node(prev, del);
-    if (status == FlagStatus::kIn) help_flagged(flag_prev, del);
+  bool delete_node(Node* prev, Node* del, int v) const {
+    auto [flag_prev, status, flagged] = try_flag_node(prev, del, v);
+    if (status == FlagStatus::kIn) help_flagged(flag_prev, del, v);
     return flagged;
   }
 
-  // InsertNode: the Insert retry loop (Figure 5 lines 5-22) on one level.
+  // InsertNode: the Insert retry loop (Figure 5 lines 5-22) on level v.
   std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
-                                             Node* next) const {
+                                             Node* next, int v) const {
     auto& c = stats::tls();
     const Key& k = node->key;
     if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
     sync::Backoff backoff;
     for (;;) {
-      const View prev_succ = prev->succ.load();
+      const View prev_succ = prev->succ(v).load();
       if (prev_succ.flag) {
-        help_flagged(prev, prev_succ.right);
+        help_flagged(prev, prev_succ.right, v);
       } else {
-        node->succ.store_unsynchronized(View{next, false, false});
+        node->succ(v).store_unsynchronized(View{next, false, false});
         const View result =
-            chaos_cas(chaos::Site::kSkipInsertCas, prev->succ,
+            chaos_cas(chaos::Site::kSkipInsertCas, prev->succ(v),
                       View{next, false, false}, View{node, false, false});
         if (result == View{next, false, false}) {
           c.insert_cas.inc();
           return {prev, InsertResult::kInserted};
         }
         if (result.flag && !result.mark) {
-          help_flagged(prev, result.right);
+          help_flagged(prev, result.right, v);
         }
         // Failed insertion C&S under contention: back off before the
         // recovery walk + re-search (failure path only; see try_flag_node).
         backoff.pause();
         std::uint64_t chain = 0;
-        while (prev->succ.load().mark) {
+        while (prev->succ(v).load().mark) {
           LF_CHAOS_POINT(kSkipBacklinkStep);
           c.backlink_traversal.inc();
           ++chain;
-          prev = prev->backlink.load(std::memory_order_acquire);
+          prev = prev->backlink(v).load(std::memory_order_acquire);
         }
         if (chain > 0) stats::chain_hist_tls().record(chain);
       }
-      std::tie(prev, next) = search_right<true>(k, prev);
+      std::tie(prev, next) = search_right<true>(k, prev, v);
       if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
     }
   }
@@ -1115,15 +1088,15 @@ class FRSkipList {
 
   Compare comp_;
   mutable Reclaimer reclaimer_;
-  std::array<Node*, MaxLevel + 1> head_{};  // head_[1..MaxLevel]; [0] unused
+  Node* head_;  // one full-height tower
   Node* tail_;
   std::atomic<int> top_hint_;
   // Never-reused id keying this instance's thread-local finger slots.
   const std::uint64_t finger_id_ = sync::next_finger_instance();
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
-  // Tower retirement goes through the layout's type-erased deleter, so the
-  // reclaimer must support deleter-based retirement (epoch and leaky do).
+  // Towers are retired with a deleter that frees the whole block, so the
+  // reclaimer must support deleter-based retirement.
   static_assert(reclaim::deferred_reclaimer<Reclaimer>);
 };
 

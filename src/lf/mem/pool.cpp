@@ -71,11 +71,20 @@ SharedPool& shared() {
   return *s;
 }
 
-// Thread-local side: one freelist per class and the current bump region.
+// Thread-local side: one freelist per class (with its length) and the
+// current bump region.
 struct ThreadCache {
   FreeBlock* freelists[kNumClasses] = {};
+  std::size_t counts[kNumClasses] = {};
   char* bump = nullptr;
   char* bump_end = nullptr;
+
+  void push(std::size_t cls, void* p) noexcept {
+    auto* b = static_cast<FreeBlock*>(p);
+    b->next = freelists[cls];
+    freelists[cls] = b;
+    ++counts[cls];
+  }
 
   ~ThreadCache() {
     SharedPool& s = shared();
@@ -85,10 +94,9 @@ struct ThreadCache {
            static_cast<std::size_t>(bump_end - bump) >= kGranule) {
       const std::size_t cls =
           fitting_class(static_cast<std::size_t>(bump_end - bump));
-      auto* b = reinterpret_cast<FreeBlock*>(bump);
+      void* b = bump;
       bump += class_bytes(cls);
-      b->next = freelists[cls];
-      freelists[cls] = b;
+      push(cls, b);
     }
     std::lock_guard lock(s.mu);
     std::erase_if(s.caches,
@@ -100,6 +108,7 @@ struct ThreadCache {
       tail->next = s.freelists[cls];
       s.freelists[cls] = freelists[cls];
       freelists[cls] = nullptr;
+      counts[cls] = 0;
     }
   }
 };
@@ -173,9 +182,8 @@ void* pool_allocate(std::size_t bytes) {
   ThreadCache& c = *cp;
 
   if (c.freelists[cls] == nullptr) {
-    // Adopt a batch from the shared pool (donations of exited threads,
-    // plus anything another thread's cache overflowed — currently only
-    // thread exit donates, so this lock is rare).
+    // Adopt a batch from the shared pool: donations of exited threads, and
+    // the batches other threads' caches overflowed (pool_deallocate).
     std::lock_guard lock(s.mu);
     FreeBlock* head = s.freelists[cls];
     std::size_t n = 0;
@@ -188,11 +196,13 @@ void* pool_allocate(std::size_t bytes) {
       s.freelists[cls] = tail->next;
       tail->next = nullptr;
       c.freelists[cls] = head;
+      c.counts[cls] = n;
     }
   }
   if (c.freelists[cls] != nullptr) {
     FreeBlock* b = c.freelists[cls];
     c.freelists[cls] = b->next;
+    --c.counts[cls];
     s.recycled.fetch_add(1, std::memory_order_relaxed);
     return b;
   }
@@ -204,10 +214,9 @@ void* pool_allocate(std::size_t bytes) {
     while (static_cast<std::size_t>(c.bump_end - c.bump) >= kGranule) {
       const std::size_t fit =
           fitting_class(static_cast<std::size_t>(c.bump_end - c.bump));
-      auto* b = reinterpret_cast<FreeBlock*>(c.bump);
+      void* b = c.bump;
       c.bump += class_bytes(fit);
-      b->next = c.freelists[fit];
-      c.freelists[fit] = b;
+      c.push(fit, b);
     }
     // From here to the end of the refill, every failure path must leave the
     // thread cache fully consistent: the old bump region has already been
@@ -253,9 +262,22 @@ void pool_deallocate(void* p, std::size_t bytes) {
     shared_deallocate(p, cls);
     return;
   }
-  auto* b = static_cast<FreeBlock*>(p);
-  b->next = cp->freelists[cls];
-  cp->freelists[cls] = b;
+  ThreadCache& c = *cp;
+  c.push(cls, p);
+  if (c.counts[cls] <= 2 * kAdoptBatch) return;
+  // Frees land on the freeing thread, which under epoch reclamation is
+  // whichever thread advanced the epoch, not the one that will allocate
+  // next. Without a cap a thread that mostly frees hoards blocks while the
+  // allocating threads carve fresh segments forever; hand a batch to the
+  // shared pool, where an allocating thread's next refill adopts it.
+  FreeBlock* head = c.freelists[cls];
+  FreeBlock* tail = head;
+  for (std::size_t i = 1; i < kAdoptBatch; ++i) tail = tail->next;
+  c.freelists[cls] = tail->next;
+  c.counts[cls] -= kAdoptBatch;
+  std::lock_guard lock(s.mu);
+  tail->next = s.freelists[cls];
+  s.freelists[cls] = head;
 }
 
 std::uint64_t pool_adopt_stalled(std::thread::id tid) {
@@ -292,6 +314,7 @@ std::uint64_t pool_adopt_stalled(std::thread::id tid) {
         tail->next = s.freelists[cls];
         s.freelists[cls] = c.freelists[cls];
         c.freelists[cls] = nullptr;
+        c.counts[cls] = 0;
       }
       break;
     }

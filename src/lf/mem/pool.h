@@ -2,9 +2,10 @@
 // substrate for the lock-free structures' hot paths.
 //
 // Why a custom pool: the FR structures allocate one block per insert (a
-// node, or a whole flat tower) and free it through the reclaimer after a
-// grace period. Routing that churn through the global allocator puts a
-// lock-protected, cache-cold malloc/free pair on every insert/delete;
+// node, or a whole skip-list tower) and free it through the reclaimer
+// after a grace period. Routing that churn through the global allocator
+// puts a lock-protected, cache-cold malloc/free pair on every
+// insert/delete;
 // "Skiplists with Foresight" identifies exactly this allocator traffic and
 // the resulting heap-spread node placement as the dominant real-machine
 // cost of skip lists. The pool removes both: allocation is a thread-local
@@ -28,7 +29,9 @@
 //     ownership migrates with the reclamation work — by then the grace
 //     period has passed and the block is safe to hand out again (see
 //     DESIGN.md "Memory layout & reclamation-integrated pooling" for the
-//     ABA argument).
+//     ABA argument). A class freelist longer than 2 * kAdoptBatch hands
+//     kAdoptBatch blocks to the shared pool, so a thread that frees more
+//     than it allocates cannot hoard while others carve new segments.
 //   * Segments are owned by an immortal process-wide registry and never
 //     returned to the OS: a block freed during late static teardown (the
 //     global epoch domain drains after main()) must still have a live
@@ -54,7 +57,8 @@ inline constexpr std::size_t kGranule = kCacheLineSize;
 inline constexpr std::size_t kNumClasses = 64;
 inline constexpr std::size_t kMaxPooledBytes = kGranule * kNumClasses;
 inline constexpr std::size_t kSegmentBytes = 256 * 1024;
-// Blocks adopted from the shared pool per refill (amortizes the lock).
+// Blocks adopted from the shared pool per refill, and handed back to it per
+// overflowing free (amortizes the lock both ways).
 inline constexpr std::size_t kAdoptBatch = 32;
 
 // Process-wide, monotone counters. Exact when read at quiescence; relaxed

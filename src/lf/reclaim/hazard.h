@@ -85,8 +85,8 @@ class HazardDomain {
   // between operations, organised as kFingerGroups groups of kFingerWays
   // set-associative cache ways: the list uses group 0 only (its level-1
   // way set); the skip list uses one group per fingered level, each entry
-  // holding that level's pred's tower ROOT (the retired-block address under
-  // the flat layout; see core/fr_skiplist.h) — plus one transient hop slot
+  // holding that level's pred tower (one node, one retired block; see
+  // core/fr_skiplist.h) — plus one transient hop slot
   // that a level-1 backlink-recovery walk republishes per hop
   // (core/fr_list.h). Entry index for (group g, way w) is
   // g * kFingerWays + w.

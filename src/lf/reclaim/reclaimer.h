@@ -44,7 +44,7 @@ concept reclaimer_for = requires(R r, Node* n) {
 };
 
 // Extended policy for structures with pooled / non-trivially-freed memory
-// (flat towers, pool-recycled nodes): retirement carries an explicit
+// (skip-list towers, pool-recycled nodes): retirement carries an explicit
 // deleter that runs after the grace period, so the structure controls how
 // the block returns to its arena. Epoch, Leaky, and HazardReclaimer provide
 // it; the raw HazardDomain used by MichaelListHP keeps the narrower

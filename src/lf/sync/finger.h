@@ -61,7 +61,7 @@
 //                    (The structures retain one slot per cache way — the
 //                    skip list one GROUP of kPublishedWays ways per
 //                    fingered level, kPublishedEntries in total — each
-//                    holding that way's pred's tower root.)
+//                    holding that way's pred tower.)
 //                    A marked primary finger recovers through its backlink chain
 //                    with each hop published into the hop slot, and the
 //                    domain's scan protects the whole published chain

@@ -190,7 +190,7 @@ TEST(Finger, FingerOffKeepsCountersAtZero) {
              lf::mem::PoolAlloc, lf::sync::FingerOff>
       list;
   lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-                 24, lf::mem::FlatTowers, lf::sync::FingerOff>
+                 24, lf::mem::PoolAlloc, lf::sync::FingerOff>
       s;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {
@@ -417,7 +417,7 @@ TEST(Finger, HazardScanSparesAllPublishedWays) {
 }
 
 // Multi-level hazard fingers (one retained slot per level, each holding
-// that level's pred's tower root — flat layout only): queries hopping
+// that level's pred tower): queries hopping
 // around a small window must mostly re-enter through a cached UPPER level,
 // something the level-1 entry alone cannot do (its window is ~1 key wide,
 // which on this stream would hit ~1/16th of the time). The 20% floor sits
@@ -510,7 +510,7 @@ TEST(Finger, FingerOffUnderHazardKeepsCountersAtZero) {
              lf::sync::FingerOff>
       list;
   lf::FRSkipList<long, long, std::less<long>, HazardReclaimer, 24,
-                 lf::mem::FlatTowers, lf::sync::FingerOff>
+                 lf::mem::PoolAlloc, lf::sync::FingerOff>
       s;
   const auto before = aggregate();
   for (long k = 0; k < 64; ++k) {

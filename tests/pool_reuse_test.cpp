@@ -16,7 +16,6 @@
 #include "lf/core/fr_list.h"
 #include "lf/core/fr_skiplist.h"
 #include "lf/mem/pool.h"
-#include "lf/mem/tower.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/util/random.h"
 
@@ -30,12 +29,7 @@ using lf::mem::pool_totals;
 using lf::reclaim::EpochDomain;
 using lf::reclaim::EpochReclaimer;
 
-using FlatPooledSkipList =
-    lf::FRSkipList<long, long, std::less<long>, EpochReclaimer, 24,
-                   lf::mem::FlatTowers>;
-using ChainedPooledSkipList =
-    lf::FRSkipList<long, long, std::less<long>, EpochReclaimer, 24,
-                   lf::mem::PooledChainedTowers>;
+using PooledSkipList = lf::FRSkipList<long, long>;  // PoolAlloc default
 using PooledList = lf::FRList<long, long>;  // PoolAlloc is the default
 
 // Multi-threaded churn on a small key range with an isolated epoch domain:
@@ -90,11 +84,7 @@ void churn_and_validate() {
 }
 
 TEST(PoolReuse, FlatSkipListChurn) {
-  churn_and_validate<FlatPooledSkipList>();
-}
-
-TEST(PoolReuse, ChainedPooledSkipListChurn) {
-  churn_and_validate<ChainedPooledSkipList>();
+  churn_and_validate<PooledSkipList>();
 }
 
 TEST(PoolReuse, PooledListChurn) { churn_and_validate<PooledList>(); }
@@ -150,7 +140,7 @@ void record_and_check(std::uint64_t seed) {
 
 TEST(PoolReuse, FlatSkipListLinearizable) {
   for (std::uint64_t seed : {11u, 222u, 3333u})
-    record_and_check<FlatPooledSkipList>(seed);
+    record_and_check<PooledSkipList>(seed);
 }
 
 TEST(PoolReuse, PooledListLinearizable) {

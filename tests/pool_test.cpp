@@ -1,12 +1,15 @@
 // Unit tests for the per-thread segment pool (lf/mem/pool.h): size-class
 // arithmetic via the public interface, grow/recycle accounting, oversize
-// fallthrough, alignment, and cross-thread donation at thread exit.
+// fallthrough, alignment, cross-thread donation at thread exit, and the
+// freelist cap that bounds growth under producer/consumer traffic.
 //
 // PoolTotals counters are process-wide and monotone, so every test works on
 // diffs of snapshots taken around its own traffic (gtest runs the tests in
 // this binary sequentially on one thread unless a test spawns its own).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <barrier>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -185,6 +188,41 @@ TEST(Pool, CrossThreadFreeMigratesOwnership) {
   const PoolTotals d = pool_totals() - before;
   EXPECT_GE(d.recycled_blocks, static_cast<std::uint64_t>(kN));
   for (void* p : blocks) pool_deallocate(p, kBytes);
+}
+
+TEST(Pool, ProducerConsumerSegmentsStayBounded) {
+  // Thread A only allocates and thread B only frees, taking turns on
+  // batches — the pattern epoch reclamation creates when one thread's
+  // frees feed another thread's inserts. B's freelist overflows batches to
+  // the shared pool and A's refills adopt them, so the segment count stays
+  // flat however many rounds run (without the cap B would hoard every block
+  // and A would carve a fresh segment per 4096 rounds).
+  constexpr std::size_t kBytes = kGranule;
+  constexpr std::size_t kBatch = 1000;
+  constexpr int kTurns = 1000;  // 1M allocate/free rounds in all
+  constexpr std::uint64_t kMaxSegments = 4;
+  std::vector<void*> batch(kBatch);
+  std::barrier turn(2);
+  const PoolTotals before = pool_totals();
+  std::uint64_t worst = 0;
+  std::thread producer([&] {
+    for (int t = 0; t < kTurns; ++t) {
+      for (void*& p : batch) p = pool_allocate(kBytes);
+      worst = std::max(worst, (pool_totals() - before).segments);
+      turn.arrive_and_wait();  // hand the batch to B
+      turn.arrive_and_wait();  // B has freed it
+    }
+  });
+  std::thread consumer([&] {
+    for (int t = 0; t < kTurns; ++t) {
+      turn.arrive_and_wait();
+      for (void* p : batch) pool_deallocate(p, kBytes);
+      turn.arrive_and_wait();
+    }
+  });
+  producer.join();
+  consumer.join();
+  EXPECT_LE(worst, kMaxSegments);
 }
 
 }  // namespace
