@@ -18,8 +18,11 @@
 //     to the OS while the list lives), the increment may touch a recycled
 //     node; the validation step rejects it and the undo re-balances.
 //   * Link transitions adjust counts at their C&S:
-//       - insert C&S (prev: next -> node): +1 node. (The new node->next
-//         link inherits the count of the removed prev->next link.)
+//       - insert C&S (prev: next -> node): +1 node, taken just before
+//         the C&S and rolled back if it fails, so a deleter that unlinks
+//         the node at once never drops the link's count before it exists.
+//         (The new node->next link inherits the count of the removed
+//         prev->next link.)
 //       - physical-deletion C&S (prev: del -> next): +1 next, -1 del.
 //       - backlink C&S (null -> prev): +1 prev; set-once, losers roll back.
 //       - mark/flag C&S: pointer unchanged, no count traffic.
@@ -140,15 +143,20 @@ class FRListRC {
         help_flagged_at(prev);
       } else {
         node->succ.store_unsynchronized(View{next, false, false});
+        // Count the link prev->node before the C&S publishes it: once it
+        // is published a deleter may unlink the node and drop that count
+        // before this thread could add it, taking the creator's reference
+        // with it (the node would be recycled while still in use).
+        node->refct.fetch_add(1, std::memory_order_acq_rel);
         const View result =
             prev->succ.cas(View{next, false, false}, View{node, false, false});
         if (result == View{next, false, false}) {
           stats::tls().insert_cas.inc();
-          // New link prev->node; node->next inherits prev->next's count.
-          node->refct.fetch_add(1, std::memory_order_acq_rel);
+          // node->next inherits prev->next's count.
           inserted = true;
           break;
         }
+        release(node);  // roll back the pre-count; the creator's remains
         if (result.flag && !result.mark) help_flagged_at(prev);
         walk_backlinks(prev);
       }
@@ -385,9 +393,13 @@ class FRListRC {
   bool finger_try_hold(Node* n, std::uint64_t stamp) const {
     const std::uint64_t old = n->refct.fetch_add(1, std::memory_order_acq_rel);
     if ((old & kFreeBit) != 0 || (old & kCountMask) == 0) {
-      // Freelisted: undo with a raw decrement — release() here could run a
-      // second dying transition on a node another thread already owns.
-      n->refct.fetch_sub(1, std::memory_order_acq_rel);
+      // Freelisted when we added. Undo through release(): while the node is
+      // still freelisted it only decrements (a word with kFreeBit never
+      // equals 1), but if allocate() handed the node out meanwhile our
+      // increment is a real count, and when the new owner has already let
+      // go of its own, ours is the last one — a raw decrement would leave
+      // the node at zero outside the free list, leaked with its links.
+      release(n);
       return false;
     }
     if (n->stamp.load(std::memory_order_acquire) != stamp) {
@@ -512,7 +524,9 @@ class FRListRC {
         // pairs on the recycled node stay balanced.
         n->refct.fetch_add(1, std::memory_order_acq_rel);
         n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
-        n->kind = kind;
+        // Only interior nodes die, so `kind` is left as it is: a stale
+        // holder's release() may be reading it right now.
+        assert(kind == Node::Kind::kInterior);
         n->key = std::move(k);
         n->value = std::move(v);
         n->succ.store_unsynchronized(View{nullptr, false, false});

@@ -338,18 +338,21 @@ class FRSkipListRC {
     if (n != nullptr) {
       n->refct.fetch_add(1, std::memory_order_acq_rel);
       n->refct.fetch_and(~kFreeBit, std::memory_order_acq_rel);
+      // Only interior nodes die, so `kind` is left as it is: a stale
+      // holder's release() may be reading it right now.
+      assert(kind == Node::Kind::kInterior);
       n->succ.store_unsynchronized(View{nullptr, false, false});
       n->backlink.store(nullptr, std::memory_order_relaxed);
       n->free_next = nullptr;
     } else {
       n = new Node;
+      n->kind = kind;
       n->refct.store(1, std::memory_order_relaxed);
       std::lock_guard lock(free_mu_);
       n->arena_next = arena_head_;
       arena_head_ = n;
       ++arena_count_;
     }
-    n->kind = kind;
     n->level = level;
     n->key = std::move(k);
     n->value = std::move(v);
@@ -441,7 +444,7 @@ class FRSkipListRC {
   bool finger_try_hold(Node* n, std::uint64_t stamp) const {
     const std::uint64_t old = n->refct.fetch_add(1, std::memory_order_acq_rel);
     if ((old & kFreeBit) != 0 || (old & kCountMask) == 0) {
-      n->refct.fetch_sub(1, std::memory_order_acq_rel);  // raw undo
+      release(n);  // freelisted when we added: see fr_list_rc.h
       return false;
     }
     if (n->stamp.load(std::memory_order_acquire) != stamp) {
@@ -750,14 +753,17 @@ class FRSkipListRC {
         help_flagged_at(prev);
       } else {
         node->succ.store_unsynchronized(View{next, false, false});
+        // The link is counted before the C&S publishes it (see
+        // fr_list_rc.h::insert).
+        node->refct.fetch_add(1, std::memory_order_acq_rel);
         const View result =
             prev->succ.cas(View{next, false, false}, View{node, false, false});
         if (result == View{next, false, false}) {
           c.insert_cas.inc();
-          node->refct.fetch_add(1, std::memory_order_acq_rel);  // the link
           release(next);
           return {prev, InsertResult::kInserted};
         }
+        release(node);  // roll back the pre-count
         if (result.flag && !result.mark) help_flagged_at(prev);
         walk_backlinks(prev);
       }
