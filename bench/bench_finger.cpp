@@ -1,11 +1,12 @@
 // E13 — finger search: the thread-local hint layer (DESIGN.md §10) against
 // head-started searches, on the workloads it was built for.
 //
-// Matrix: {finger on, finger off} under the epoch reclaimer, under the
-// hazard reclaimer (publish-then-revalidate fingers: one retained slot per
-// fingered (level, way), each holding that way's pred tower), and for the
-// reference-counted FRSkipListRC, at 1, 8 and 16 threads, on three key
-// streams:
+// Matrix: FRSkipList under the epoch and the hazard reclaimer, whose
+// searches always descend from the head (its finger layer lost wall clock
+// on every workload and was removed; these rows keep their `finger: off`
+// labels so tools/bench_trend.py keeps gating them), and {finger on, finger
+// off} for the reference-counted FRSkipListRC, at 1, 8 and 16 threads, on
+// three key streams:
 //
 //   * zipf-0.99   — Zipfian popularity with SCRAMBLED positions (the raw
 //                   generator puts hot keys at the left edge of the key
@@ -17,16 +18,22 @@
 //                   validation overhead is all that can show up (< a few
 //                   percent, or the layer is mispriced).
 //
-// The claim under test (ISSUE acceptance): on the localized streams the
-// finger-enabled skip list does >= 20% fewer essential steps/op and less
-// wall-clock per op than finger-off at every thread count, while uniform
-// regresses < 3%. On this repo's single-core CI host the multi-thread
-// wall-clock rows measure oversubscribed scheduling, not parallelism —
-// steps/op is the schedule-independent headline (see EXPERIMENTS.md).
+// The claim under test: on the localized streams the finger-enabled
+// FRSkipListRC does fewer essential steps/op than finger-off at every
+// thread count, while uniform stays within a few percent. Multi-thread
+// wall-clock rows at 8 and 16 threads oversubscribe the host's cores, so
+// they measure scheduling, not parallelism — steps/op is the
+// schedule-independent headline (see EXPERIMENTS.md).
 //
 // Output: one line per configuration, printed and flushed as soon as it is
 // measured (so a crash mid-matrix still leaves every finished row), then
 // the tables; BENCH_finger.json is rewritten after every row.
+//
+// `bench_finger --smoke` runs the same matrix with 4,800 operations per
+// configuration and writes no JSON: the sanitizer CI jobs run it as the
+// ctest row bench_finger_smoke, so the threaded finger paths run under ASan
+// and TSan.
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -48,13 +55,17 @@ namespace {
 using lf::harness::Table;
 namespace wl = lf::workload;
 
-template <typename Finger, typename Reclaimer>
-using Skip = lf::FRSkipList<long, long, std::less<long>, Reclaimer, 24,
-                            lf::mem::PoolAlloc, Finger>;
+template <typename Reclaimer>
+using Skip = lf::FRSkipList<long, long, std::less<long>, Reclaimer>;
 
 constexpr std::uint64_t kKeySpace = 4096;
 constexpr std::uint64_t kPrefill = 2048;
 constexpr std::uint64_t kOpsTotal = 240'000;
+constexpr std::uint64_t kSmokeOpsTotal = 4'800;
+
+// Operations per configuration, split across its threads (--smoke lowers it).
+std::uint64_t g_ops_total = kOpsTotal;
+bool g_smoke = false;
 
 struct Workload {
   const char* name;
@@ -82,12 +93,11 @@ struct Row {
   double skip_per_op = 0;
 };
 
-template <typename Finger, typename Reclaimer>
-Row run_one(const char* reclaimer_name, bool finger_on, const Workload& w,
-            int threads) {
+template <typename Reclaimer>
+Row run_one(const char* reclaimer_name, const Workload& w, int threads) {
   wl::RunConfig cfg;
   cfg.threads = threads;
-  cfg.ops_per_thread = kOpsTotal / static_cast<std::uint64_t>(threads);
+  cfg.ops_per_thread = g_ops_total / static_cast<std::uint64_t>(threads);
   cfg.key_space = kKeySpace;
   cfg.prefill = kPrefill;
   cfg.mix = {10, 10};  // 10i/10d/80s, the read-leaning standard grid point
@@ -96,14 +106,13 @@ Row run_one(const char* reclaimer_name, bool finger_on, const Workload& w,
   cfg.seed = 0xf168e4;
   cfg.measure_contention = false;
 
-  Skip<Finger, Reclaimer> set;
+  Skip<Reclaimer> set;
   wl::prefill(set, cfg);
   const auto res = wl::run_workload(set, cfg);
 
   Row r;
   r.layout = "tower";
   r.reclaimer = reclaimer_name;
-  r.finger = finger_on;
   r.workload = w.name;
   r.threads = threads;
   r.mops = res.mops_per_sec();
@@ -130,17 +139,14 @@ void record(std::vector<Row>& rows, Row r) {
             << r.steps_per_op << " steps/op, hit " << r.hit_rate
             << std::endl;
   rows.push_back(std::move(r));
-  emit_json(rows);
+  if (!g_smoke) emit_json(rows);
 }
 
 template <typename Reclaimer>
 void run_reclaimer(const char* reclaimer_name, std::vector<Row>& rows) {
   for (const Workload& w : kWorkloads) {
     for (int threads : {1, 8, 16}) {
-      record(rows, run_one<lf::sync::FingerOff, Reclaimer>(
-                       reclaimer_name, false, w, threads));
-      record(rows, run_one<lf::sync::FingerOn, Reclaimer>(reclaimer_name,
-                                                          true, w, threads));
+      record(rows, run_one<Reclaimer>(reclaimer_name, w, threads));
     }
   }
 }
@@ -151,7 +157,7 @@ template <typename Finger>
 Row run_one_rc(bool finger_on, const Workload& w, int threads) {
   wl::RunConfig cfg;
   cfg.threads = threads;
-  cfg.ops_per_thread = kOpsTotal / static_cast<std::uint64_t>(threads);
+  cfg.ops_per_thread = g_ops_total / static_cast<std::uint64_t>(threads);
   cfg.key_space = kKeySpace;
   cfg.prefill = kPrefill;
   cfg.mix = {10, 10};
@@ -233,7 +239,16 @@ void emit_json(const std::vector<Row>& rows) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      g_smoke = true;
+      g_ops_total = kSmokeOpsTotal;
+    } else {
+      std::cerr << "usage: bench_finger [--smoke]\n";
+      return 2;
+    }
+  }
   lf::harness::print_environment(
       "E13 (finger search)",
       "per-thread search hints start where the last search ended; localized "
@@ -258,41 +273,31 @@ int main() {
     t.print();
   }
 
-  // Acceptance summary: steps/op reduction of finger-on vs finger-off.
+  // Acceptance summary: steps/op reduction of finger-on vs finger-off (the
+  // RC rows, the only skip list with a finger layer).
   lf::harness::print_section("finger-on steps/op reduction vs finger-off");
   Table s({"layout", "reclaim", "workload", "threads", "off", "on",
            "reduction"});
-  struct Config {
-    const char* layout;
-    const char* reclaimer;
-  };
-  for (const Config& c : {Config{"tower", "epoch"}, Config{"tower", "hazard"},
-                          Config{"arena", "rc"}}) {
-    for (const Workload& w : kWorkloads) {
-      for (int threads : {1, 8, 16}) {
-        const Row* off =
-            find_row(rows, c.layout, c.reclaimer, false, w.name, threads);
-        const Row* on =
-            find_row(rows, c.layout, c.reclaimer, true, w.name, threads);
-        if (off == nullptr || on == nullptr || off->steps_per_op == 0)
-          continue;
-        const double red = 1.0 - on->steps_per_op / off->steps_per_op;
-        s.add_row({c.layout, c.reclaimer, w.name, std::to_string(threads),
-                   Table::num(off->steps_per_op, 2),
-                   Table::num(on->steps_per_op, 2),
-                   Table::num(100.0 * red, 1) + "%"});
-      }
+  for (const Workload& w : kWorkloads) {
+    for (int threads : {1, 8, 16}) {
+      const Row* off = find_row(rows, "arena", "rc", false, w.name, threads);
+      const Row* on = find_row(rows, "arena", "rc", true, w.name, threads);
+      if (off == nullptr || on == nullptr || off->steps_per_op == 0) continue;
+      const double red = 1.0 - on->steps_per_op / off->steps_per_op;
+      s.add_row({"arena", "rc", w.name, std::to_string(threads),
+                 Table::num(off->steps_per_op, 2),
+                 Table::num(on->steps_per_op, 2),
+                 Table::num(100.0 * red, 1) + "%"});
     }
   }
   s.print();
   std::cout << "Expected shape: zipf-0.99 and repeat-range reductions >= 20%\n"
                "at every thread count; uniform within a few percent of zero\n"
-               "(validation cost only). Under hazard pointers each fingered\n"
-               "(level, way) retains its pred tower in its own slot, so\n"
-               "their reductions track the epoch rows. ns/op follows\n"
-               "steps/op at 1 thread; multi-thread wall clock on a single\n"
-               "core mostly measures oversubscription.\n\n";
+               "(validation cost only). The tower rows are FRSkipList's\n"
+               "head descents under epoch and hazard reclamation. 8 and 16\n"
+               "threads oversubscribe the cores, so their wall clock\n"
+               "mostly measures scheduling.\n\n";
 
-  std::cout << "wrote BENCH_finger.json\n";
+  if (!g_smoke) std::cout << "wrote BENCH_finger.json\n";
   return 0;
 }

@@ -67,7 +67,8 @@ enum class Site : int {
   kListFingerPublish,   // save_finger: about to publish the way set
   kListFingerReplace,   // save_finger: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
-  // FRSkipList (core/fr_skiplist.h)
+  // FRSkipList (core/fr_skiplist.h); the finger sites are FRSkipListRC's
+  // (core/fr_skiplist_rc.h)
   kSkipSearchStep,
   kSkipInsertCas,
   kSkipFlagCas,
@@ -79,7 +80,6 @@ enum class Site : int {
   kSkipTowerBuild,  // insert: before linking the next tower level
   kSkipFingerValidate,  // finger_start: cached descent entry qualified
   kSkipFingerFallback,  // finger_start: no usable entry, head descent
-  kSkipFingerPublish,   // publish_fingers: about to publish the way sets
   kSkipFingerReplace,   // save_finger: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
   // Baselines (harris_list.h / restart_skiplist.h) — E12 fault injection

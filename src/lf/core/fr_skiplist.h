@@ -31,6 +31,11 @@
 // level it just added (if any), and still reports success (its root made
 // it in).
 //
+// Every search descends from the head, as the paper's SearchToLevel_SL
+// does. There is no per-thread search finger here: on skip-list workloads
+// its per-call probe, save and validation cost more than the hops it saves
+// (DESIGN.md §10). FRList and the RC variants keep theirs.
+//
 // Departures from the paper's presentation, all noted in DESIGN.md:
 //   * The head tower is preallocated at full height (MaxLevel), so the
 //     paper's `up` pointers for growing the head are unnecessary. A
@@ -70,26 +75,18 @@
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
 #include "lf/sync/backoff.h"
-#include "lf/sync/finger.h"
 #include "lf/sync/succ_field.h"
 #include "lf/util/prefetch.h"
 #include "lf/util/random.h"
 
 namespace lf {
 
-// The extra template parameters beyond the paper's algorithm:
+// The extra template parameter beyond the paper's algorithm:
 //   Alloc       tower allocation policy (mem/pool.h): mem::PoolAlloc
 //               (default) or mem::HeapAlloc.
-//   Finger      sync::FingerOn (default) caches each thread's last descent
-//               (the lowest kFingerLevels (pred, succ) pairs) per structure
-//               instance and enters the next search at the lowest cached
-//               level whose window still brackets the key, when the
-//               reclaimer policy can re-validate the cached nodes
-//               (sync/finger.h, DESIGN.md §10). sync::FingerOff compiles
-//               the layer out entirely.
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer, int MaxLevel = 24,
-          typename Alloc = mem::PoolAlloc, typename Finger = sync::FingerOn>
+          typename Alloc = mem::PoolAlloc>
 class FRSkipList {
   static_assert(MaxLevel >= 2, "need at least two levels (erase cleanup)");
   static_assert(MaxLevel <= 255, "levels are stored in one byte");
@@ -115,7 +112,7 @@ class FRSkipList {
   // 1..height follow it in the same block, and the cold backlinks come
   // last (the RocksDB `next[height]` idiom):
   //
-  //   [key | value | kind height top | tower_alive][succ(1..h)][backlink(1..h)]
+  //   [key | value | kind height | tower_alive][succ(1..h)][backlink(1..h)]
   //
   // For <long, long> the header is 24 bytes, so the key, the kind, the
   // root mark succ(1) and the successors of levels 1..5 share the block's
@@ -131,9 +128,6 @@ class FRSkipList {
     T value;
     Kind kind;
     std::uint8_t height;  // planned (coin-flip) height; levels 1..height
-    // Highest level announced for linking. erase's cleanup sweep must enter
-    // at or above it; an abandoned link attempt rolls it back.
-    std::atomic<std::uint8_t> top{1};
 
     // Tower retirement. Per-level retirement at unlink time would be
     // unsound: a level unlinked at v stays reachable by descending from the
@@ -144,10 +138,10 @@ class FRSkipList {
     // period covers the whole block.
     //
     // tower_alive counts levels that are linked or about to be linked (the
-    // inserter increments before attempting to link, and pre-publishes
-    // `top`, so the count can only reach zero when no link attempt is in
-    // flight and every linked level has been unlinked). The unlinker or
-    // abandoner that drops it to zero retires the block.
+    // inserter increments before attempting to link, so the count can only
+    // reach zero when no link attempt is in flight and every linked level
+    // has been unlinked). The unlinker or abandoner that drops it to zero
+    // retires the block.
     std::atomic<int> tower_alive{1};
 
     Node(Kind k, int h, Key key_arg, T value_arg)
@@ -205,12 +199,6 @@ class FRSkipList {
   // Destruction requires quiescence: every linked tower is linked at level
   // 1 and owns one block.
   ~FRSkipList() {
-    if constexpr (kFingerActive && FingerPol::kPublishes) {
-      // Null every retained hazard slot still pointing into this instance
-      // before freeing nodes directly, so no concurrent scan can chain-walk
-      // into freed memory (see core/fr_list.h destructor).
-      reclaimer_.finger_invalidate(finger_id_);
-    }
     Node* n = head_->succ(1).load().right;
     while (n->kind != Node::Kind::kTail) {
       Node* next = n->succ(1).load().right;
@@ -258,15 +246,11 @@ class FRSkipList {
       erased = delete_node(prev, del, 1);
       if (erased) {
         // Delete_SL: re-search down to level 2 to physically delete the
-        // rest of the now-superfluous tower, top-down. The sweep must
-        // ENTER at or above the tower's top — a finger entry below it
-        // would leave the levels above the entry linked — so pass the
-        // tower's top as the minimum finger entry level. `top` is
-        // pre-published before every level link, so it covers every level
-        // a concurrent builder managed to link (any level linked after
-        // this read is removed by the builder itself when it sees the
-        // marked root).
-        search_to_level<true>(k, 2, del->top.load(std::memory_order_acquire));
+        // rest of the now-superfluous tower, top-down. The descent enters
+        // above every level a concurrent builder has linked (see
+        // search_to_level); a level linked after it passes is removed by
+        // the builder itself when it sees the marked root.
+        search_to_level<true>(k, 2);
       }
     }
     stats::tls().op_erase.inc();
@@ -471,10 +455,8 @@ class FRSkipList {
         }
         // A same-key tower exists at an upper level: only possible after
         // our root was deleted and the key reinserted. Abandon the level
-        // (never linked): roll `top` back to the highest linked level and
-        // release the reference taken before the attempt.
-        node->top.store(static_cast<std::uint8_t>(curr_v - 1),
-                        std::memory_order_release);
+        // (never linked) and release the reference taken before the
+        // attempt.
         release_tower_ref(node);
         break;
       }
@@ -489,13 +471,11 @@ class FRSkipList {
       if (curr_v == tower_height) break;  // tower complete
       ++curr_v;
       LF_CHAOS_POINT(kSkipTowerBuild);
-      // Announce the upcoming link BEFORE attempting it (see Node docs):
-      // while tower_alive includes this level, nobody can retire the tower,
-      // so pre-publishing `top` is race-free. If the tower already died
-      // (count reached zero), it must NOT be resurrected: stop building.
+      // Count the upcoming link BEFORE attempting it (see Node docs): while
+      // tower_alive includes this level, nobody can retire the tower. If
+      // the tower already died (count reached zero), it must NOT be
+      // resurrected: stop building.
       if (!acquire_tower_ref(node)) break;
-      node->top.store(static_cast<std::uint8_t>(curr_v),
-                      std::memory_order_release);
       std::tie(prev, next) = search_to_level<true>(k, curr_v);
     }
     stats::tls().op_insert.inc();
@@ -563,326 +543,28 @@ class FRSkipList {
     }
   }
 
-  // ---- Finger (search hint) layer — sync/finger.h, DESIGN.md §10 ---------
+  // ---- SearchToLevel_SL --------------------------------------------------
   //
-  // Each thread remembers, per skip-list instance, the lowest kFingerLevels
-  // levels of recent descents — and, per level, a set of kWays cache ways,
-  // each holding the (pred, succ) pair a SearchRight returned plus the
-  // reclaimer token under which that pair was observed. The next search
-  // enters at the LOWEST cached level l >= v holding a way whose token
-  // still validates and whose window brackets the key (pred.key < k <=
-  // succ.key-at-save-time), skipping the whole descent above l. Multiple
-  // ways per level are what serve a skewed-but-scattered (zipf) hot set: a
-  // single way thrashes between far-apart hot keys, while k ways hold k
-  // disjoint hot windows at once. Replacement is clock (second-chance); a
-  // way already caching the same pred is refreshed in place. Ways carry
-  // individual tokens because a finger-entered search only refreshes the
-  // ways it traverses, so surviving ways may be older than fresh ones.
+  // Descends from the head, just above the tallest live tower, to level v,
+  // traversing each level with SearchRight; returns consecutive (n1, n2) on
+  // level v with n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key
+  // (!Closed).
   //
-  // A pred that was marked since it was saved is recovered through its
-  // backlink chain — the same recovery a failed C&S performs — and any
-  // validation failure falls back to the ordinary head descent, so the
-  // paper's amortized bound is untouched (the fallback IS the status quo;
-  // probing is deref-free and validation attempts are O(kFingerLevels)).
-
-  using FingerPol = sync::FingerPolicy<Reclaimer>;
-  static constexpr bool kFingerActive =
-      Finger::kEnabled && FingerPol::kSupported;
-  static constexpr int kWays = sync::kFingerCacheWays;
-  // Publishing policies (hazard pointers) pair every cached pred with a
-  // retained slot, and a slot only protects what it holds if that address
-  // is a RETIRED OBJECT address. A cached pred is a tower, and a tower is
-  // exactly one retired block — so each fingered level retains its ways'
-  // preds themselves in its own GROUP of slots (level l, way w lives in
-  // entry (l-1) * kWays + w of FingerPol::kPublishedEntries).
-  static constexpr int kMaxFingerLevels =
-      4 < kMaxTowerHeight ? 4 : kMaxTowerHeight;
-  static constexpr int kFingerLevels =
-      FingerPol::kPublishes && FingerPol::kPublishedGroups < kMaxFingerLevels
-          ? FingerPol::kPublishedGroups
-          : kMaxFingerLevels;
-  static_assert(!FingerPol::kPublishes ||
-                    (kFingerLevels * kWays <= FingerPol::kPublishedEntries &&
-                     kWays <= FingerPol::kPublishedWays),
-                "each fingered (level, way) needs its own retained slot");
-
-  // Retained-slot index of (lvl, way) under a publishing policy. Level 1
-  // occupies entries [0, kWays) — the group the domain's scan chain-walks.
-  static constexpr int finger_entry_index(int lvl, int way) noexcept {
-    return (lvl - 1) * kWays + way;
-  }
-
-  // Ways cache the bracket KEYS (and sentinel kinds) alongside the pred
-  // pointer: while the token validates, the node is unreclaimed and its
-  // key/kind are immutable, so checking the cached copies is equivalent to
-  // dereferencing — and a failed probe (the common case on a locality
-  // break) then costs no cache misses on cold nodes at all. Only the way
-  // that wins a level's probe dereferences its pred, for the mark check.
-  struct FingerSlot {
-    std::uint64_t instance = 0;
-    struct Entry {
-      Node* pred = nullptr;
-      std::uint64_t token = 0;
-      Key pred_key{};  // meaningful unless pred_head
-      Key succ_key{};  // meaningful unless succ_tail
-      bool pred_head = false;
-      bool succ_tail = false;
-      std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
-    };
-    struct Level {
-      Entry way[kWays] = {};
-      unsigned hand = 0;   // tie rotation for victim selection
-      unsigned ticks = 0;  // replacements since the last aging pass
-      // Way refreshed by the search in progress; only meaningful for the
-      // levels the current search traversed (publish_fingers' [lo, hi]).
-      int fresh = -1;
-    };
-    Level level[kFingerLevels + 1];  // [1..kFingerLevels]; [0] unused
-  };
-
-  // Type-erased backlink-chain step for HazardDomain's chain-protecting
-  // scan (see core/fr_list.h::finger_chain_walker — identical contract).
-  // Paired with finger entry 0 only, which always holds a level-1 pred:
-  // the chain follows level-1 marks and backlinks. Upper finger entries
-  // are never walked — a marked upper pred falls through to the next
-  // level instead of recovering.
-  static void* finger_chain_walker(void* p) {
-    Node* n = static_cast<Node*>(p);
-    if (!n->succ(1).load().mark) return nullptr;
-    return n->backlink(1).load(std::memory_order_acquire);
-  }
-
-  // Level the plain head descent would enter at.
-  int head_entry_level(int v) const noexcept {
+  // The entry level top_hint_ + 1 is at or above every level a builder has
+  // linked or is about to link: a builder raises the hint to each level it
+  // links before it links the next one. So erase's cleanup descent passes
+  // through every linked level of the tower it clears.
+  template <bool Closed>
+  std::pair<Node*, Node*> search_to_level(const Key& k, int v) const {
     int curr_v = top_hint_.load(std::memory_order_relaxed) + 1;
     if (curr_v > MaxLevel) curr_v = MaxLevel;
     if (curr_v < v) curr_v = v;
-    return curr_v;
-  }
-
-  void save_finger(FingerSlot& slot, int lvl, Node* pred, Node* succ,
-                   std::uint64_t token) const {
-    if (lvl > kFingerLevels) return;
-    if (slot.instance != finger_id_) {
-      // First touch, or the direct-mapped TLS slot was evicted by another
-      // instance: ways at OTHER levels hold that instance's pointers, and
-      // once `instance` below claims the slot they would masquerade as
-      // ours (publishing policies use a constant token, so nothing else
-      // would catch them). Kill them before claiming.
-      for (int l = 1; l <= kFingerLevels; ++l)
-        slot.level[l] = typename FingerSlot::Level();
-      slot.instance = finger_id_;
-    }
-    auto& lv = slot.level[lvl];
-    // A way already caching this pred is refreshed in place (its bracket
-    // just moved or tightened); otherwise clock replacement picks a victim.
-    int w = -1;
-    for (int i = 0; i < kWays; ++i)
-      if (lv.way[i].pred == pred) { w = i; break; }
-    const bool refresh = w >= 0;
-    if (!refresh) {
-      LF_CHAOS_POINT(kSkipFingerReplace);
-      w = sync::finger_victim_pick(
-          lv.way, kWays, lv.hand, lv.ticks,
-          [](const typename FingerSlot::Entry& e) {
-            return e.pred == nullptr;
-          });
-    }
-    auto& e = lv.way[w];
-    e.pred = pred;
-    e.token = token;
-    // pred/succ were just traversed, so these reads are cache-warm.
-    e.pred_head = pred->kind == Node::Kind::kHead;
-    if (!e.pred_head) e.pred_key = pred->key;
-    e.succ_tail = succ->kind == Node::Kind::kTail;
-    if (!e.succ_tail) e.succ_key = succ->key;
-    // A brand-new way enters at frequency zero — the next replacement's
-    // prime victim unless it earns a probe hit first — while refreshes
-    // bump the counter. One-shot cold keys then recycle through a
-    // de-facto probation way; the accumulated counters of the hot ways
-    // are untouched by miss traffic, which is what lets the cache retain
-    // a zipf hot set (recency-only clock is lapped by the tail's miss
-    // flow before even the hottest key recurs).
-    if (refresh) sync::finger_freq_bump(e.freq);
-    else e.freq = 0;
-    lv.fresh = w;
-  }
-
-  // Publishing policies only: rewrite the retained hazard slots after a
-  // search refreshed one way on each of levels [lo, hi]. A refreshed way
-  // publishes its pred — publish-while-alive holds because the pred was
-  // found linked under the STILL-HELD guard, and a
-  // concurrent retirement parks in the epoch stage until this pin ends
-  // (the epoch bridge, reclaim/hazard.h). Any other way is kept only if
-  // its slot still holds its pred: protection was then continuous since
-  // its own publish-while-alive moment, so republishing the same address
-  // into the same slot extends it soundly. Anything else is dead — its
-  // slot is published null and the way cleared so it is never
-  // dereferenced.
-  void publish_fingers(FingerSlot& slot, int lo, int hi) const {
-    if (slot.instance != finger_id_ || lo > kFingerLevels) return;
-    void* preds[kFingerLevels * kWays];
-    for (int l = 1; l <= kFingerLevels; ++l) {
-      auto& lv = slot.level[l];
-      for (int w = 0; w < kWays; ++w) {
-        auto& e = lv.way[w];
-        const int idx = finger_entry_index(l, w);
-        if (e.pred == nullptr) {
-          preds[idx] = nullptr;
-        } else if (l >= lo && l <= hi && w == lv.fresh) {
-          preds[idx] = e.pred;  // refreshed this search
-        } else if (reclaimer_.finger_reacquire(e.pred, finger_id_, idx)) {
-          preds[idx] = e.pred;  // stale but continuously protected
-        } else {
-          preds[idx] = nullptr;  // evicted since its publish: dead way
-          e.pred = nullptr;
-        }
-      }
-    }
-    LF_CHAOS_POINT(kSkipFingerPublish);
-    reclaimer_.finger_publish(preds, kFingerLevels * kWays,
-                              &finger_chain_walker, finger_id_, kWays);
-  }
-
-  // Picks a validated entry point: (start node, level), or (nullptr, 0) for
-  // a head descent. Scans cached levels from max(v, min_level) upward and
-  // takes the lowest usable one — lower entry, shorter walk; within a
-  // level, the way with the tightest bracket (largest pred key) wins the
-  // deref-free probe and is the only one validated. min_level lets erase's
-  // tower-cleanup sweep refuse entries below the tower it must clear (an
-  // entry below the tower top would skip the levels above it).
-  //
-  // Hit/miss accounting covers exactly the finger-ELIGIBLE searches (lo <=
-  // kFingerLevels): a search that could never use a finger — a tower build
-  // or cleanup sweep above the fingered levels — counts neither, so
-  // bench_finger hit rates measure cache effectiveness, not the workload's
-  // tower-height mix.
-  template <bool Closed>
-  std::pair<Node*, int> finger_start(const Key& k, int v, int min_level,
-                                     FingerSlot& slot,
-                                     std::uint64_t token) const {
-    auto& c = stats::tls();
-    const int lo = min_level > v ? min_level : v;
-    if (lo > kFingerLevels) return {nullptr, 0};  // never eligible
-    if (slot.instance == finger_id_) {
-      for (int lvl = lo; lvl <= kFingerLevels; ++lvl) {
-        auto& lv = slot.level[lvl];
-        // Equality (pred.key == k) is admitted only for a Closed search
-        // entering at its own target when that target is level 1: there
-        // "unmarked" below is the ROOT mark, so it directly implies the
-        // pred is not superfluous. At upper levels an equal-key start could
-        // sit ON a superfluous tower and SearchRight — which only examines
-        // successors — would never physically delete it, leaving erase's
-        // cleanup pass a no-op.
-        const bool allow_eq = Closed && lvl == v && v == 1;
-        // Deref-free probe: the way whose window [pred_key, succ_key]
-        // brackets k, tightest (largest pred key) first on overlap.
-        int w = -1;
-        for (int i = 0; i < kWays; ++i) {
-          const auto& e = lv.way[i];
-          if (e.pred == nullptr || e.token != token) continue;
-          if (!e.pred_head &&
-              (allow_eq ? comp_(k, e.pred_key) : !comp_(e.pred_key, k)))
-            continue;
-          // Window check: at save time succ was the next node at this
-          // level, so k beyond succ's key means an unbounded rightward
-          // walk — worse than descending from above. (Tail = +infinity
-          // always qualifies.)
-          if (!e.succ_tail && comp_(e.succ_key, k)) continue;
-          if (w < 0 || (!e.pred_head && (lv.way[w].pred_head ||
-                                         comp_(lv.way[w].pred_key, e.pred_key))))
-            w = i;
-        }
-        if (w < 0) continue;
-        auto& e = lv.way[w];
-        // Publishing policies: re-acquire this way's retained hazard
-        // slot — which holds the pred tower — before the first
-        // dereference (see core/fr_list.h::finger_start — a mismatch means
-        // protection was not continuous and the cached pointer may be
-        // freed memory; fail closed to the next level / head descent).
-        if constexpr (FingerPol::kPublishes) {
-          if (!reclaimer_.finger_reacquire(e.pred, finger_id_,
-                                           finger_entry_index(lvl, w))) {
-            e.pred = nullptr;  // dead way; stop probing it
-            continue;
-          }
-        }
-        LF_CHAOS_POINT(kSkipFingerValidate);
-        Node* start = e.pred;
-        std::uint64_t chain = 0;
-        // Backlink recovery is level-1-only under a publishing policy: the
-        // domain's chain-protecting scan walks level-1 chains only (see
-        // finger_chain_walker). A marked upper pred falls through to the
-        // next cached level instead.
-        if (!FingerPol::kPublishes || lvl == 1) {
-          while (start->succ(lvl).load().mark) {
-            Node* back = start->backlink(lvl).load(std::memory_order_acquire);
-            if (back == nullptr) break;  // defensive; marked => backlink set
-            if constexpr (FingerPol::kPublishes) {
-              // Publish the hop before dereferencing it (liveness is
-              // already guaranteed by the chain-protecting scan while the
-              // finger slot is held; see reclaim/hazard.h).
-              LF_CHAOS_POINT(kHazardFingerHop);
-              reclaimer_.finger_protect_hop(back);
-            }
-            c.backlink_traversal.inc();
-            ++chain;
-            start = back;
-          }
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-        if (start->succ(lvl).load().mark) continue;  // try the next level up
-        sync::finger_freq_bump(e.freq);
-        c.finger_hit.inc();
-        const int head_v = head_entry_level(v);
-        if (head_v > lvl)
-          c.finger_skip.inc(static_cast<std::uint64_t>(head_v - lvl));
-        return {start, lvl};
-      }
-    }
-    LF_CHAOS_POINT(kSkipFingerFallback);
-    c.finger_miss.inc();
-    return {nullptr, 0};
-  }
-
-  // ---- SearchToLevel_SL --------------------------------------------------
-  //
-  // Descends from just above the tallest live tower — or from a validated
-  // per-thread finger (see above) — to level v, traversing each level with
-  // SearchRight; returns consecutive (n1, n2) on level v with
-  // n1.key <= k < n2.key (Closed) or n1.key < k <= n2.key (!Closed).
-  template <bool Closed>
-  std::pair<Node*, Node*> search_to_level(const Key& k, int v,
-                                          int min_finger_level = 0) const {
-    Node* curr = nullptr;
-    int curr_v = 0;
-    [[maybe_unused]] FingerSlot* slot = nullptr;
-    [[maybe_unused]] std::uint64_t token = 0;
-    if constexpr (kFingerActive) {
-      slot = &sync::tls_finger_slot<FingerSlot>(finger_id_);
-      token = FingerPol::token(reclaimer_);
-      std::tie(curr, curr_v) =
-          finger_start<Closed>(k, v, min_finger_level, *slot, token);
-    }
-    if (curr == nullptr) {
-      curr_v = head_entry_level(v);
-      curr = head_;
-    }
-    [[maybe_unused]] const int entry_v = curr_v;
-    Node* next = nullptr;
+    Node* curr = head_;
     while (curr_v > v) {
-      std::tie(curr, next) = search_right<false>(k, curr, curr_v);
-      if constexpr (kFingerActive)
-        save_finger(*slot, curr_v, curr, next, token);
+      curr = search_right<false>(k, curr, curr_v).first;
       --curr_v;  // Section 4's `down`: the same tower, one level lower
     }
-    auto out = search_right<Closed>(k, curr, v);
-    if constexpr (kFingerActive) {
-      save_finger(*slot, v, out.first, out.second, token);
-      if constexpr (FingerPol::kPublishes)
-        publish_fingers(*slot, v, entry_v);
-    }
-    return out;
+    return search_right<Closed>(k, curr, v);
   }
 
   // ---- SearchRight --------------------------------------------------------
@@ -1091,8 +773,6 @@ class FRSkipList {
   Node* head_;  // one full-height tower
   Node* tail_;
   std::atomic<int> top_hint_;
-  // Never-reused id keying this instance's thread-local finger slots.
-  const std::uint64_t finger_id_ = sync::next_finger_instance();
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
   // Towers are retired with a deleter that frees the whole block, so the

@@ -7,12 +7,13 @@
 //     demand, asserted through the paper's step counters instead of
 //     hoping a racy schedule produces them.
 //
-//   * CRASH MATRIX — for every injection site in FRList and FRSkipList,
-//     park a victim thread at that site mid-operation and verify the
-//     empirical lock-freedom claim: the surviving threads complete their
-//     whole workload, the structure stays coherent while the victim is
-//     parked, and after the victim is released exact-count semantics and
-//     all invariants hold.
+//   * CRASH MATRIX — for every injection site in FRList and FRSkipList
+//     (the skip-list finger sites through FRSkipListRC), park a victim
+//     thread at that site mid-operation and verify the empirical
+//     lock-freedom claim: the surviving threads complete their whole
+//     workload, the structure stays coherent while the victim is parked,
+//     and after the victim is released exact-count semantics and all
+//     invariants hold.
 //
 //   * ALLOCATION FAILURE — a pool allocation (list node, skip-list tower,
 //     or fresh segment) that throws must surface as a clean error with
@@ -30,6 +31,7 @@
 #include "lf/chaos/chaos.h"
 #include "lf/core/fr_list.h"
 #include "lf/core/fr_skiplist.h"
+#include "lf/core/fr_skiplist_rc.h"
 #include "lf/harness/watchdog.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
@@ -193,7 +195,19 @@ TEST_F(ChaosTest, SkipForcedFlagAndMarkCasRetry) {
 }
 
 // ---- Crash-thread matrix --------------------------------------------------
-//
+
+// Quiescent invariant check. FRSkipListRC reports its invariants (link
+// counts included) through validate_accounting() instead of a report.
+template <typename Set>
+void expect_valid(const Set& set) {
+  if constexpr (requires { set.validate_accounting(); }) {
+    EXPECT_TRUE(set.validate_accounting());
+  } else {
+    const auto rep = set.validate();
+    EXPECT_TRUE(rep.ok) << rep.error;
+  }
+}
+
 // Empirical lock-freedom: park a victim at the given site mid-operation;
 // survivors must finish their entire workloads regardless. Exact-count
 // semantics are checked in two stages: while the victim is parked its one
@@ -275,8 +289,7 @@ void run_crash_site(Site site) {
 
   // Quiescent again: exact counts and every invariant.
   EXPECT_EQ(set.size(), static_cast<std::size_t>(net.load()));
-  const auto rep = set.validate();
-  EXPECT_TRUE(rep.ok) << rep.error;
+  expect_valid(set);
   EXPECT_FALSE(dog.stalled());
   dog.stop();
 }
@@ -297,9 +310,17 @@ TEST_F(ChaosTest, CrashMatrixFRSkipList) {
                     Site::kSkipFlagCas, Site::kSkipMarkCas,
                     Site::kSkipUnlinkCas, Site::kSkipBacklinkStep,
                     Site::kSkipHelpFlagged, Site::kSkipHelpMarked,
-                    Site::kSkipTowerBuild, Site::kSkipFingerValidate,
-                    Site::kSkipFingerFallback, Site::kSkipFingerReplace}) {
+                    Site::kSkipTowerBuild}) {
     run_crash_site<lf::FRSkipList<long, long>>(site);
+  }
+}
+
+// The skip-list finger sites live only in FRSkipListRC (FRSkipList searches
+// always descend from the head).
+TEST_F(ChaosTest, CrashMatrixFRSkipListRC) {
+  for (Site site : {Site::kSkipFingerValidate, Site::kSkipFingerFallback,
+                    Site::kSkipFingerReplace}) {
+    run_crash_site<lf::FRSkipListRC<long, long>>(site);
   }
 }
 
@@ -322,15 +343,6 @@ TEST_F(ChaosTest, CrashMatrixFRListHazardFinger) {
                     Site::kListFingerPublish, Site::kListFingerReplace,
                     Site::kHazardFingerReacquire, Site::kHazardFingerHop}) {
     run_crash_site<List>(site);
-  }
-}
-
-TEST_F(ChaosTest, CrashMatrixFRSkipListHazardFinger) {
-  using Skip = lf::FRSkipList<long, long, std::less<long>,
-                              lf::reclaim::HazardReclaimer>;
-  for (Site site : {Site::kSkipFingerValidate, Site::kSkipFingerFallback,
-                    Site::kSkipFingerPublish, Site::kSkipFingerReplace}) {
-    run_crash_site<Skip>(site);
   }
 }
 

@@ -1,14 +1,14 @@
 // Golden step counts for FRSkipList: a fixed single-threaded script whose
-// every step-counter total is pinned to an exact constant, once with the
-// finger layer compiled out and once with the default FingerOn.
+// every step-counter total is pinned to an exact constant. The constants
+// were captured with the skip list's former finger layer compiled out, so
+// they also pin that every search is the paper's plain head descent.
 //
 // The script is deterministic end to end: keys and tower heights come from
 // fixed formulas (insert_with_height, no coin flips), the structure owns a
-// private epoch domain (so the finger tokens see only this script's epoch
-// advances), and one thread runs every call. Any change to the node
-// representation, the descent, or the flag/mark/backlink steps that alters
-// how many hops, C&Ss or helps the paper's algorithm takes shows up here as
-// a changed constant — the oracle a layout refactor must keep.
+// private epoch domain, and one thread runs every call. Any change to the
+// node representation, the descent, or the flag/mark/backlink steps that
+// alters how many hops, C&Ss or helps the paper's algorithm takes shows up
+// here as a changed constant — the oracle a layout refactor must keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "lf/core/fr_skiplist.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
-#include "lf/sync/finger.h"
 
 namespace {
 
@@ -48,18 +47,8 @@ struct GoldenShape {
   std::size_t found;
 };
 
-// The default FRSkipList<long, long> with only its finger policy replaced.
-template <typename Set, typename Finger>
-struct WithFinger;
-template <typename K, typename T, typename C, typename R, int M, typename A,
-          typename F0, typename Finger>
-struct WithFinger<lf::FRSkipList<K, T, C, R, M, A, F0>, Finger> {
-  using type = lf::FRSkipList<K, T, C, R, M, A, Finger>;
-};
-
-template <typename Finger>
 void run_script(const GoldenSteps& want_steps, const GoldenShape& want) {
-  using Skip = typename WithFinger<lf::FRSkipList<long, long>, Finger>::type;
+  using Skip = lf::FRSkipList<long, long>;
   EpochDomain domain;
   Skip s{EpochReclaimer(domain)};
   const auto before = lf::stats::tls().read();
@@ -71,7 +60,7 @@ void run_script(const GoldenSteps& want_steps, const GoldenShape& want) {
     ASSERT_EQ(s.insert_with_height(script_key(i), -i, script_height(i + 1)),
               Skip::InsertStatus::kDuplicate);
   // Erase every third key, walking the keys in insertion order (scattered
-  // positions), then a run of neighbours so cached fingers go stale.
+  // positions), then a run of neighbours.
   for (long i = 0; i < kKeys; i += 3) ASSERT_TRUE(s.erase(script_key(i)));
   for (long k = 500; k < 540; ++k) s.erase(k);
   std::size_t found = 0;
@@ -81,7 +70,7 @@ void run_script(const GoldenSteps& want_steps, const GoldenShape& want) {
   long range_sum = 0;
   for (long lo = 0; lo < 1009; lo += 97)
     s.for_each_range(lo, lo + 40, [&](long k, long) { range_sum += k; });
-  // Re-insert some erased keys over the stale fingers.
+  // Re-insert some erased keys.
   for (long i = 0; i < 60; i += 3)
     s.insert_with_height(script_key(i), i, script_height(i + 2));
 
@@ -119,8 +108,6 @@ void run_script(const GoldenSteps& want_steps, const GoldenShape& want) {
   EXPECT_EQ(found, want.found);
 }
 
-// The finger layer changes how a search is entered, never the structure it
-// leaves behind: both policies end in the same shape.
 const GoldenShape kShape{279,
                          551,
                          279,
@@ -134,15 +121,8 @@ const GoldenShape kShape{279,
 // curr, next, cas, cas ok, insert, flag, mark, pdelete, backlink,
 // help_marked, help_flagged, finger hit, finger miss, retired.
 TEST(FRSkipListGolden, FingerOffStepTotals) {
-  run_script<lf::sync::FingerOff>(
+  run_script(
       {9365, 143, 1687, 1687, 835, 284, 284, 284, 0, 284, 284, 0, 0, 141},
-      kShape);
-}
-
-TEST(FRSkipListGolden, FingerOnStepTotals) {
-  run_script<lf::sync::FingerOn>(
-      {50063, 143, 1687, 1687, 835, 284, 284, 284, 1, 284, 284, 1534, 317,
-       141},
       kShape);
 }
 

@@ -174,9 +174,7 @@ TEST(ScheduleFuzz, FingerOffVariantsExactCountsUnderYields) {
     EXPECT_TRUE(list.validate().ok);
   }
   {
-    lf::FRSkipList<long, long, std::less<long>, lf::reclaim::EpochReclaimer,
-                   24, lf::mem::PoolAlloc, lf::sync::FingerOff>
-        s;
+    lf::FRSkipList<long, long> s;  // no finger layer to switch off
     std::atomic<long> net{0};
     fuzz_churn(s, 505, 5000, 64, net);
     EXPECT_EQ(s.size(), static_cast<std::size_t>(net.load()));
