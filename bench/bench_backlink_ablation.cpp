@@ -24,6 +24,12 @@
 // Part (b) repeats the stochastic hotspot for completeness (on few-core
 // hosts it produces little interference; the deterministic part carries
 // the claim).
+//
+// The run exits non-zero unless part (a) is exact: FRList recovers in 1 hop
+// and FRListNoFlag in m hops, for every m. `bench_backlink_ablation
+// --smoke` checks it for small m and runs part (b) with fewer operations
+// (the ctest row bench_backlink_ablation_smoke).
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -85,7 +91,7 @@ std::uint64_t fr_recovery_chain(long m) {
   return delta.backlink_traversal;
 }
 
-void stochastic_hotspot() {
+void stochastic_hotspot(std::uint64_t ops_per_thread) {
   lf::harness::print_section(
       "(b) stochastic hotspot (8 threads, 45i/45d/10s, 48 keys)");
   lf::harness::Table table({"impl", "recoveries", "mean chain", "max chain",
@@ -94,7 +100,7 @@ void stochastic_hotspot() {
     lf::stats::reset_chain_hist();
     lf::workload::RunConfig cfg;
     cfg.threads = 8;
-    cfg.ops_per_thread = 8'000;
+    cfg.ops_per_thread = ops_per_thread;
     cfg.key_space = 48;
     cfg.prefill = 24;
     cfg.mix = {45, 45};
@@ -119,7 +125,21 @@ void stochastic_hotspot() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      std::cerr << "usage: bench_backlink_ablation [--smoke]\n";
+      return 2;
+    }
+  }
+  const std::vector<long> ms =
+      smoke ? std::vector<long>{8, 32}
+            : std::vector<long>{8, 16, 32, 64, 128, 256, 512};
+  bool exact = true;
+
   lf::harness::print_environment(
       "E7 (Section 3.1)",
       "flag bits prevent backlinks from targeting marked nodes; without "
@@ -130,9 +150,14 @@ int main() {
       "deletions");
   lf::harness::Table table({"m (deletions)", "FRList hops", "NoFlag hops",
                             "ratio"});
-  for (long m : {8L, 16L, 32L, 64L, 128L, 256L, 512L}) {
+  for (long m : ms) {
     const auto fr = fr_recovery_chain(m);
     const auto nf = noflag_recovery_chain(m);
+    if (fr != 1 || nf != static_cast<std::uint64_t>(m)) {
+      std::cerr << "E7 identity violated at m=" << m << ": FRList " << fr
+                << " hops (want 1), NoFlag " << nf << " hops (want m)\n";
+      exact = false;
+    }
     table.add_row({std::to_string(m), std::to_string(fr),
                    std::to_string(nf),
                    lf::harness::Table::ratio(static_cast<double>(nf),
@@ -142,6 +167,6 @@ int main() {
   std::cout << "Expected shape: FRList recovers in O(1) hops regardless of\n"
                "m; the flagless variant's chain grows linearly in m.\n\n";
 
-  stochastic_hotspot();
-  return 0;
+  stochastic_hotspot(smoke ? 1'000 : 8'000);
+  return exact ? 0 : 1;
 }

@@ -33,45 +33,19 @@ class UrlFrontier {
 
   // Extract the most urgent URL. Lock-free: competing fetchers race on
   // erase(), and exactly one wins each key (the paper's Delete semantics).
+  // Keys are never reused, so the value first() copied is the winner's.
   std::optional<std::string> take() {
-    for (;;) {
-      std::optional<long> head_key;
-      queue_.for_each_until([&](long k, const std::string&) {
-        head_key = k;
-        return false;  // stop at the first (smallest) key
-      });
-      if (!head_key.has_value()) return std::nullopt;  // empty
-      auto url = queue_.find(*head_key);
-      if (queue_.erase(*head_key)) {
-        if (url.has_value()) return url;
-        return queue_.find(*head_key);  // value read raced; rare
-      }
+    while (auto head = queue_.first()) {
+      if (queue_.erase(head->first)) return std::move(head->second);
       // Another fetcher won this key: retry with the next head.
     }
+    return std::nullopt;  // empty
   }
 
   std::size_t size() const { return queue_.size(); }
 
  private:
-  // A thin extension of FRSkipList: early-exit iteration for head lookup.
-  class Queue : public lf::FRSkipList<long, std::string> {
-   public:
-    template <typename Fn>
-    void for_each_until(Fn&& fn) const {
-      for_each_prefix(std::forward<Fn>(fn));
-    }
-
-   private:
-    template <typename Fn>
-    void for_each_prefix(Fn&& fn) const {
-      bool keep_going = true;
-      this->for_each([&](const long& k, const std::string& v) {
-        if (keep_going) keep_going = fn(k, v);
-      });
-    }
-  };
-
-  Queue queue_;
+  lf::FRSkipList<long, std::string> queue_;
   std::atomic<std::uint64_t> seq_{0};
 };
 
@@ -81,15 +55,22 @@ int main() {
   UrlFrontier frontier;
   std::atomic<std::uint64_t> fetched{0};
   std::atomic<std::uint64_t> discovered{0};
+  // URLs discovered but not yet fully processed: those in the frontier plus
+  // those a fetcher holds. A URL's outlinks are counted before the URL
+  // itself is retired, so this reaches zero only when the frontier is empty
+  // and no fetcher can add to it again — the crawl is over.
+  std::atomic<std::uint64_t> pending{0};
   std::atomic<bool> stop{false};
 
   // Seed crawl.
   for (int i = 0; i < 100; ++i)
     frontier.add(0, "https://seed.example/" + std::to_string(i));
   discovered += 100;
+  pending += 100;
 
   // Fetchers: take the most urgent URL; fetching it "discovers" outlinks
-  // at lower urgency (a classic BFS-ish frontier).
+  // at lower urgency (a classic BFS-ish frontier). They stop after 5,000
+  // fetches or when the crawl runs out of URLs, whichever comes first.
   std::vector<std::thread> fetchers;
   for (int t = 0; t < 4; ++t) {
     fetchers.emplace_back([&, t] {
@@ -97,17 +78,20 @@ int main() {
       while (!stop.load(std::memory_order_acquire)) {
         auto url = frontier.take();
         if (!url.has_value()) {
-          std::this_thread::yield();
+          if (pending.load(std::memory_order_acquire) == 0) break;
+          std::this_thread::yield();  // another fetcher holds a URL
           continue;
         }
         const auto n = fetched.fetch_add(1, std::memory_order_relaxed);
         // "Parse": discover 0-2 outlinks with priority 1-3.
         const auto outlinks = rng.below(3);
         for (std::uint64_t i = 0; i < outlinks; ++i) {
+          pending.fetch_add(1, std::memory_order_relaxed);
           frontier.add(static_cast<int>(1 + rng.below(3)),
                        *url + "/child" + std::to_string(i));
           discovered.fetch_add(1, std::memory_order_relaxed);
         }
+        pending.fetch_sub(1, std::memory_order_release);
         if (n >= 5'000) stop.store(true, std::memory_order_release);
       }
     });
