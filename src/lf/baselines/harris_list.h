@@ -25,6 +25,7 @@
 #include <utility>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/node_ops.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
@@ -34,7 +35,7 @@ namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class HarrisList {
+class HarrisList : private core::KeyOrder<Compare> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -258,30 +259,8 @@ class HarrisList {
   Node* head() const noexcept { return head_; }
 
  private:
-  // Chaos wrapper, as in FRList: E12 forces failures here so restart-based
-  // recovery can be compared against FRList's backlink recovery under the
-  // same injected fault train.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
+  using core::KeyOrder<Compare>::node_lt;
+  using core::KeyOrder<Compare>::node_eq;
 
   // Harris's search: returns adjacent (left, right) with left unmarked,
   // left.key < k <= right.key, unlinking any marked chain between them.
@@ -337,7 +316,6 @@ class HarrisList {
     }
   }
 
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   Node* head_;
   Node* tail_;

@@ -18,13 +18,14 @@
 #include <optional>
 #include <utility>
 
+#include "lf/core/node_ops.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 
 namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
-class LazyList {
+class LazyList : private core::KeyOrder<Compare> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -147,15 +148,8 @@ class LazyList {
         : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
   };
 
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
+  using core::KeyOrder<Compare>::node_lt;
+  using core::KeyOrder<Compare>::node_eq;
 
   // Unlocked optimistic traversal: pred.key < k <= curr.key.
   std::pair<Node*, Node*> locate(const Key& k) const {
@@ -177,7 +171,6 @@ class LazyList {
            pred->next.load(std::memory_order_acquire) == curr;
   }
 
-  Compare comp_;
   reclaim::EpochDomain& domain_;
   Node* head_;
   Node* tail_;

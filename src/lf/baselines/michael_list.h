@@ -26,6 +26,7 @@
 #include <tuple>
 #include <utility>
 
+#include "lf/core/node_ops.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
@@ -36,7 +37,7 @@ namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer>
-class MichaelList {
+class MichaelList : private core::KeyOrder<Compare> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -174,15 +175,8 @@ class MichaelList {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
+  using core::KeyOrder<Compare>::node_lt;
+  using core::KeyOrder<Compare>::node_eq;
 
   // Michael's Find: returns (prev, curr, found) with prev unmarked,
   // prev.right == curr, prev.key < k <= curr.key; unlinks each marked node
@@ -215,7 +209,6 @@ class MichaelList {
     }
   }
 
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   Node* head_;
   Node* tail_;
@@ -228,7 +221,7 @@ class MichaelList {
 // not retired before the publication became visible).
 // ---------------------------------------------------------------------------
 template <typename Key, typename T = Key, typename Compare = std::less<Key>>
-class MichaelListHP {
+class MichaelListHP : private core::KeyOrder<Compare> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -366,15 +359,8 @@ class MichaelListHP {
   }
 
  private:
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
+  using core::KeyOrder<Compare>::node_lt;
+  using core::KeyOrder<Compare>::node_eq;
 
   // Hazard-slot usage: the traversal keeps two published references live
   // (0 = curr, 1 = prev); the third of Michael's three references (next) is
@@ -431,7 +417,6 @@ class MichaelListHP {
     }
   }
 
-  Compare comp_;
   reclaim::HazardDomain& domain_;
   Node* head_;
   Node* tail_;

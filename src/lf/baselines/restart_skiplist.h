@@ -29,6 +29,7 @@
 #include <utility>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/node_ops.h"
 #include "lf/instrument/counters.h"
 #include "lf/sync/succ_field.h"
 #include "lf/util/random.h"
@@ -37,7 +38,7 @@ namespace lf {
 
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           int MaxLevel = 24>
-class RestartSkipList {
+class RestartSkipList : private core::KeyOrder<Compare> {
  public:
   using key_type = Key;
   using mapped_type = T;
@@ -230,29 +231,8 @@ class RestartSkipList {
   }
 
  private:
-  // Chaos wrapper, as in HarrisList: E12 forces failures here to measure
-  // restart-from-the-top recovery against FRSkipList's backlink recovery.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
-  }
-
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
-  }
+  using core::KeyOrder<Compare>::node_lt;
+  using core::KeyOrder<Compare>::node_eq;
 
   static Xoshiro256& tls_rng() {
     thread_local Xoshiro256 rng(
@@ -309,7 +289,6 @@ class RestartSkipList {
     return node_eq(succs[0], k);
   }
 
-  Compare comp_;
   Node* head_;
   Node* tail_;
   mutable std::atomic<Node*> alloc_head_{nullptr};

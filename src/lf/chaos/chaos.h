@@ -52,23 +52,24 @@ namespace lf::chaos {
 // Every injection site threaded through the codebase. One enumerator per
 // *kind* of step, not per code line: the crash matrix iterates these.
 enum class Site : int {
-  // FRList (core/fr_list.h)
-  kListSearchStep = 0,  // search_from: advance to the next node
-  kListInsertCas,       // insert_loop / insert_try_once: insertion C&S
+  // FRList and FRListRC: the level protocol (core/level_core.h, ListSites)
+  kListSearchStep = 0,  // LevelCore::search: advance to the next node
+  kListInsertCas,       // LevelCore::insert_step: insertion C&S
   kListFlagCas,         // try_flag: flagging C&S (deletion step 1)
   kListMarkCas,         // try_mark: marking C&S (deletion step 2)
   kListUnlinkCas,       // help_marked: physical-deletion C&S (step 3)
-  kListBacklinkStep,    // one hop along a backlink chain
+  kListBacklinkStep,    // walk_backlinks: one hop along a backlink chain
   kListHelpFlagged,     // help_flagged entry
   kListHelpMarked,      // help_marked entry
-  kListFingerValidate,  // finger_start: cached hint qualified, about to be
-                        // recovered/used (thread holds a validated finger)
-  kListFingerFallback,  // finger_start: no usable hint, search starts at head
-  kListFingerPublish,   // save_finger: about to publish the way set
-  kListFingerReplace,   // save_finger: LFU-aging replacement picking a
+  kListFingerValidate,  // LevelCore::finger_resume: cached hint qualified,
+                        // about to be recovered/used (thread holds it)
+  kListFingerFallback,  // FRList::finger_start / FRListRC::finger_entry: no
+                        // usable hint, search starts at head
+  kListFingerPublish,   // FRList::save_finger: about to publish the way set
+  kListFingerReplace,   // sync::finger_save: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
-  // FRSkipList (core/fr_skiplist.h); the finger sites are FRSkipListRC's
-  // (core/fr_skiplist_rc.h)
+  // FRSkipList and FRSkipListRC: the same sites per level (SkipSites); the
+  // finger sites are FRSkipListRC's
   kSkipSearchStep,
   kSkipInsertCas,
   kSkipFlagCas,
@@ -77,10 +78,12 @@ enum class Site : int {
   kSkipBacklinkStep,
   kSkipHelpFlagged,
   kSkipHelpMarked,
-  kSkipTowerBuild,  // insert: before linking the next tower level
-  kSkipFingerValidate,  // finger_start: cached descent entry qualified
-  kSkipFingerFallback,  // finger_start: no usable entry, head descent
-  kSkipFingerReplace,   // save_finger: LFU-aging replacement picking a
+  kSkipTowerBuild,  // LevelCore::build_tower: before linking the next level
+  kSkipFingerValidate,  // LevelCore::finger_resume: cached descent entry
+                        // qualified
+  kSkipFingerFallback,  // FRSkipListRC::finger_start: no usable entry, head
+                        // descent
+  kSkipFingerReplace,   // sync::finger_save: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
   // Baselines (harris_list.h / restart_skiplist.h) — E12 fault injection
   kBaseInsertCas,
@@ -211,6 +214,15 @@ class YieldInjector {
  private:
   std::uint64_t state_;
 };
+
+// Injection point for a site chosen at compile time by a structure's site
+// family (core/level_core.h) rather than spelled at the call. Compiles to
+// nothing when chaos is off, like LF_CHAOS_POINT.
+inline void point_at([[maybe_unused]] Site site) {
+#if LF_CHAOS
+  point(site);
+#endif
+}
 
 }  // namespace lf::chaos
 

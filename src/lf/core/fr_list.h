@@ -7,26 +7,14 @@
 //     succ     = (right pointer, mark bit, flag bit) in one CAS-able word
 //     backlink = pointer to the node's predecessor, set when it is deleted
 //
-// Deletion of node B with predecessor A is the paper's three-step protocol
-// (Figure 2):
-//
-//     1. FLAG      C&S A.succ (B,0,0) -> (B,0,1).  A's successor field is
-//                  now frozen: it cannot be redirected or marked until the
-//                  flag is removed, so B's backlink — about to be set to A —
-//                  will never point at a marked node.
-//     2. MARK      set B.backlink = A, then C&S B.succ (C,0,0) -> (C,1,0).
-//                  B is now logically deleted; a marked successor field
-//                  never changes again.
-//     3. UNLINK    C&S A.succ (B,0,1) -> (C,0,0): physically deletes B and
-//                  removes A's flag in the same step.
-//
-// An operation that fails a C&S because its target node got marked does NOT
-// restart from the head (Harris-style); it walks backlink pointers left
-// until it reaches an unmarked node and resumes from there. Because a node
-// is only marked while its predecessor is flagged — and a flagged node can
-// never be marked — backlink chains only ever grow to the LEFT, which is
-// precisely what bounds the recovery cost and yields the paper's amortized
-// bound  t̂(S) = O(n(S) + c(S))  (Section 3.4).
+// and the list is the one-level instance of the paper's flag/mark/backlink
+// protocol (core/level_core.h): deletion is the three-step flag, mark,
+// unlink of Figure 2, and an operation whose C&S fails because its target
+// got marked recovers through backlinks instead of restarting from the
+// head. Because a node is only marked while its predecessor is flagged —
+// and a flagged node can never be marked — backlink chains only ever grow
+// to the LEFT, which is precisely what bounds the recovery cost and yields
+// the paper's amortized bound  t̂(S) = O(n(S) + c(S))  (Section 3.4).
 //
 // Processes help one another (HelpFlagged / HelpMarked) so that a stalled
 // deleter can never block anyone: the implementation is lock-free.
@@ -63,11 +51,11 @@
 #include <new>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "lf/chaos/chaos.h"
+#include "lf/core/level_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
@@ -76,9 +64,47 @@
 #include "lf/sync/backoff.h"
 #include "lf/sync/finger.h"
 #include "lf/sync/succ_field.h"
-#include "lf/util/prefetch.h"
 
 namespace lf {
+
+namespace detail {
+
+// FRList's node. Public (as FRList::Node) so that white-box tests can
+// inspect structure; user code should treat nodes as opaque.
+template <typename Key, typename T, typename Alloc>
+struct alignas(8) FRListNode {
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+
+  Kind kind;
+  Key key;    // value-initialized for sentinels
+  T value;    // value-initialized for sentinels
+  sync::SuccField<FRListNode> succ;
+  std::atomic<FRListNode*> backlink{nullptr};
+
+  FRListNode(Kind k, Key key_arg, T value_arg)
+      : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
+
+  // Route every `new Node` / `delete node` — including the reclaimer's
+  // deferred deletes — through the allocation policy. The sized overload
+  // is all that's needed; the compiler always knows the node size here.
+  static void* operator new(std::size_t bytes) {
+    return Alloc::allocate(bytes);
+  }
+  static void operator delete(void* p, std::size_t bytes) {
+    Alloc::deallocate(p, bytes);
+  }
+};
+
+// The level protocol as FRList runs it: raw pointers under the reclaimer's
+// guard, the list's chaos sites, and the paper's SearchFrom sweep.
+template <typename List, typename Key, typename T, typename Compare,
+          typename Alloc>
+using FRListCore =
+    core::LevelCore<List, FRListNode<Key, T, Alloc>, Key, Compare,
+                    core::RawAccess<FRListNode<Key, T, Alloc>>,
+                    core::ListSites, core::Sweep::kMarked>;
+
+}  // namespace detail
 
 // The extra template parameters beyond the paper's algorithm:
 //   Finger      sync::FingerOn (default) caches each thread's last search
@@ -88,49 +114,35 @@ namespace lf {
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer,
           typename Alloc = mem::PoolAlloc, typename Finger = sync::FingerOn>
-class FRList {
+class FRList
+    : private detail::FRListCore<
+          FRList<Key, T, Compare, Reclaimer, Alloc, Finger>, Key, T, Compare,
+          Alloc> {
+  using Core = detail::FRListCore<FRList, Key, T, Compare, Alloc>;
+  friend Core;
+
  public:
   using key_type = Key;
   using mapped_type = T;
   using key_compare = Compare;
-
-  struct Node;
+  using Node = detail::FRListNode<Key, T, Alloc>;
 
  private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+  using typename Core::FlagStatus;
+  using typename Core::InsertResult;
+  using typename Core::View;
+  using Core::comp_;
+  using Core::help_flagged;
+  using Core::insert_loop;
+  using Core::insert_step;
+  using Core::node_eq;
+  using Core::try_flag;
 
  public:
-  // Node layout. Public so that white-box tests and the skip list (which
-  // reuses these routines per level) can inspect structure; user code should
-  // treat nodes as opaque.
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Kind kind;
-    Key key;    // value-initialized for sentinels
-    T value;    // value-initialized for sentinels
-    Succ succ;
-    std::atomic<Node*> backlink{nullptr};
-
-    Node(Kind k, Key key_arg, T value_arg)
-        : kind(k), key(std::move(key_arg)), value(std::move(value_arg)) {}
-
-    // Route every `new Node` / `delete node` — including the reclaimer's
-    // deferred deletes — through the allocation policy. The sized overload
-    // is all that's needed; the compiler always knows the node size here.
-    static void* operator new(std::size_t bytes) {
-      return Alloc::allocate(bytes);
-    }
-    static void operator delete(void* p, std::size_t bytes) {
-      Alloc::deallocate(p, bytes);
-    }
-  };
-
   FRList() : FRList(Compare{}, Reclaimer{}) {}
   explicit FRList(Reclaimer reclaimer) : FRList(Compare{}, std::move(reclaimer)) {}
   FRList(Compare comp, Reclaimer reclaimer)
-      : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     head_ = new Node(Node::Kind::kHead, Key{}, T{});
     tail_ = new Node(Node::Kind::kTail, Key{}, T{});
     head_->succ.store_unsynchronized(View{tail_, false, false});
@@ -186,7 +198,7 @@ class FRList {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
     }
-    const bool inserted = insert_loop(node, prev, next);
+    const bool inserted = link(node, prev, next);
     stats::tls().op_insert.inc();
     return inserted ? InsertStatus::kInserted : InsertStatus::kDuplicate;
   }
@@ -197,12 +209,7 @@ class FRList {
     [[maybe_unused]] auto guard = reclaimer_.guard();
     // SearchFrom(k - eps): prev.key < k <= del.key, per Delete line 1.
     auto [prev, del] = search_entry<false>(k);
-    bool erased = false;
-    if (node_eq(del, k)) {
-      auto [flag_prev, result] = try_flag(prev, del);
-      if (flag_prev != nullptr) help_flagged(flag_prev, del);
-      erased = result;
-    }
+    const bool erased = node_eq(del, k) && this->delete_node(prev, del, 1);
     stats::tls().op_erase.inc();
     return erased;
   }
@@ -232,12 +239,8 @@ class FRList {
   // is impossible to maintain cheaply on a lock-free list, so under
   // concurrency this is a point-in-traversal approximation.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
     std::size_t n = 0;
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) ++n;
-    }
+    for_each([&](const Key&, const T&) { ++n; });
     return n;
   }
 
@@ -248,10 +251,10 @@ class FRList {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_->succ.load().right; p->kind != Node::Kind::kTail;
-         p = p->succ.load().right) {
-      if (!p->succ.load().mark) fn(p->key, p->value);
-    }
+    this->for_each_node(head_, 1, [&](const Node* p) {
+      fn(p->key, p->value);
+      return true;
+    });
   }
 
   std::vector<Key> keys() const {
@@ -268,29 +271,15 @@ class FRList {
     std::string error;
   };
 
-  // Checks the paper's INV 1-5 as they manifest at a quiescent point: the
-  // list from head to tail is strictly sorted, and no linked node is marked
-  // or flagged (all deletions, once begun, complete before their operation
-  // returns, so quiescence implies no logically deleted nodes remain).
+  // Checks the paper's INV 1-5 at a quiescent point (LevelCore's
+  // validate_level): the list is strictly sorted from head to tail, and no
+  // linked node is marked or flagged.
   ValidationReport validate() const {
     ValidationReport rep;
-    const Node* prev = head_;
-    View pv = prev->succ.load();
-    if (pv.mark || pv.flag) return fail(rep, "head marked or flagged");
-    const Node* curr = pv.right;
-    while (curr->kind != Node::Kind::kTail) {
-      const View cv = curr->succ.load();
-      if (cv.mark) return fail(rep, "linked node is marked at quiescence");
-      if (cv.flag) return fail(rep, "linked node is flagged at quiescence");
-      if (cv.mark && cv.flag) return fail(rep, "INV5 violated");
-      if (prev->kind == Node::Kind::kInterior &&
-          !comp_(prev->key, curr->key)) {
-        return fail(rep, "INV1 violated: keys not strictly sorted");
-      }
-      ++rep.node_count;
-      prev = curr;
-      curr = cv.right;
-      if (curr == nullptr) return fail(rep, "list does not reach tail");
+    if (const char* error = this->validate_level(
+            head_, 1, rep.node_count, [](const Node*) { return nullptr; })) {
+      rep.ok = false;
+      rep.error = error;
     }
     return rep;
   }
@@ -314,7 +303,7 @@ class FRList {
   // (Insert lines 1-4). Returns false (and allocates nothing) on duplicate.
   bool insert_locate(const Key& k, T value, InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, next] = search_from<true>(k, head_);
+    auto [prev, next] = this->template search<true>(k, head_, 1);
     if (node_eq(prev, k)) return false;
     cur.key = k;
     cur.prev = prev;
@@ -327,7 +316,7 @@ class FRList {
   // backlinks when the located predecessor got marked in between.
   bool insert_complete(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    const bool inserted = insert_loop(cur.node, cur.prev, cur.next);
+    const bool inserted = link(cur.node, cur.prev, cur.next);
     stats::tls().op_insert.inc();
     cur.node = nullptr;
     return inserted;
@@ -341,43 +330,15 @@ class FRList {
 
   TryResult insert_try_once(InsertCursor& cur) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto& c = stats::tls();
-    Node* prev = cur.prev;
-    Node* next = cur.next;
-    const View prev_succ = prev->succ.load();
-    if (prev_succ.flag) {
-      help_flagged(prev, prev_succ.right);
-    } else {
-      cur.node->succ.store_unsynchronized(View{next, false, false});
-      const View result =
-          chaos_cas(chaos::Site::kListInsertCas, prev->succ,
-                    View{next, false, false}, View{cur.node, false, false});
-      if (result == View{next, false, false}) {
-        c.insert_cas.inc();
-        c.op_insert.inc();
-        cur.node = nullptr;
-        return TryResult::kInserted;
-      }
-      if (result.flag && !result.mark) help_flagged(prev, result.right);
-      std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
-        LF_CHAOS_POINT(kListBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-    }
-    std::tie(prev, next) = search_from<true>(cur.key, prev);
-    if (node_eq(prev, cur.key)) {
-      delete cur.node;
-      cur.node = nullptr;
-      c.op_insert.inc();
-      return TryResult::kDuplicate;
-    }
-    cur.prev = prev;
-    cur.next = next;
-    return TryResult::kRetry;
+    sync::Backoff backoff;
+    const InsertResult r =
+        insert_step(cur.node, cur.prev, cur.next, 1, backoff);
+    if (r == InsertResult::kRetry) return TryResult::kRetry;
+    if (r == InsertResult::kDuplicate) delete cur.node;
+    cur.node = nullptr;
+    stats::tls().op_insert.inc();
+    return r == InsertResult::kInserted ? TryResult::kInserted
+                                        : TryResult::kDuplicate;
   }
 
   // ---- Stalled-deleter hooks (tests; Section 3.3 helping paths) --------
@@ -398,20 +359,20 @@ class FRList {
 
   bool erase_begin(const Key& k, StalledErase& out) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    auto [prev, del] = search_from<false>(k, head_);
+    auto [prev, del] = this->template search<false>(k, head_, 1);
     if (!node_eq(del, k)) return false;
-    auto [flag_prev, result] = try_flag(prev, del);
-    out.prev = flag_prev;
+    auto [flag_prev, status, flagged] = try_flag(prev, del, 1);
+    out.prev = status == FlagStatus::kIn ? flag_prev : nullptr;
     out.del = del;
-    out.flagged = result;
-    return flag_prev != nullptr;
+    out.flagged = flagged;
+    return out.prev != nullptr;
   }
 
   // Completes the stalled deletion; returns whether the stalled operation
   // reports success (it placed the flag, so the deletion is "its").
   bool erase_finish(StalledErase& st) {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    if (st.prev != nullptr) help_flagged(st.prev, st.del);
+    if (st.prev != nullptr) help_flagged(st.prev, st.del, 1);
     stats::tls().op_erase.inc();
     return st.flagged;
   }
@@ -422,46 +383,21 @@ class FRList {
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
 
  private:
-  // ---- Chaos instrumentation -------------------------------------------
-  //
-  // Every protocol C&S goes through this wrapper. With LF_CHAOS off it
-  // inlines to the bare primitive. With chaos on, the site becomes an
-  // injection point, and an armed forced failure returns a view matching
-  // no caller's success or helping pattern — callers then re-read real
-  // state and take their recovery path (retry / help / backlink walk)
-  // exactly as if a concurrent thread had won the C&S.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();  // a failed attempt is still a step
-      return View{nullptr, true, false};
-    }
-#endif
-    return field.cas(expected, desired);
+  // ---- Level-core hooks (core/level_core.h) -----------------------------
+  static sync::SuccField<Node>& succ(Node* n, int) noexcept { return n->succ; }
+  static std::atomic<Node*>& backlink(Node* n, int) noexcept {
+    return n->backlink;
   }
+  // The thread whose C&S unlinks a node owns its retirement.
+  void on_unlink(Node* del) const { reclaimer_.retire(del); }
 
-  // ---- Key/sentinel ordering helpers -----------------------------------
-  // Sentinels hold no real keys; kHead compares below and kTail above
-  // every key, realizing the paper's -inf/+inf dummy keys for arbitrary
-  // key types.
-
-  bool node_lt(const Node* n, const Key& k) const {  // n.key < k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-
-  bool node_le(const Node* n, const Key& k) const {  // n.key <= k
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
+  // The Insert retry loop from a located (prev, next); a node that turns
+  // out to be a duplicate was never published, so plain delete is safe.
+  bool link(Node* node, Node* prev, Node* next) {
+    if (insert_loop(node, prev, next, 1).second == InsertResult::kInserted)
+      return true;
+    delete node;
+    return false;
   }
 
   // ---- Finger (search hint) layer — see sync/finger.h and DESIGN.md §10 --
@@ -474,13 +410,13 @@ class FRList {
   // repeat lands in its own way even when the hot keys are positionally
   // scattered — falling back to the way with the closest key still left of
   // k (any unmarked node with key < k is a valid start), and to the head
-  // when no way validates. A finger that was marked in the meantime is
-  // recovered through its backlink chain — the exact recovery a failed C&S
-  // performs. Replacement is least-frequently-hit with aging
-  // (sync::finger_victim_pick); a bracket hit refreshes its own way in
-  // place and bumps its frequency counter. Only the public entry points use fingers; the
-  // two-phase adversary hooks (insert_locate / insert_try_once /
-  // erase_begin) keep their head starts so the paper's lower-bound
+  // when no way validates (sync::finger_probe). A finger that was marked in
+  // the meantime is recovered through its backlink chain — the exact
+  // recovery a failed C&S performs. Replacement is least-frequently-hit
+  // with aging (sync::finger_save); a bracket hit refreshes its own way in
+  // place and bumps its frequency counter. Only the public entry points use
+  // fingers; the two-phase adversary hooks (insert_locate / insert_try_once
+  // / erase_begin) keep their head starts so the paper's lower-bound
   // schedules stay reproducible.
   //
   // Publishing policies (FingerPol::kPublishes — hazard pointers) replace
@@ -499,24 +435,11 @@ class FRList {
   static_assert(!FingerPol::kPublishes || kWays <= FingerPol::kPublishedWays,
                 "every list cache way needs its own retained hazard entry");
 
-  // Each way caches the node's key and its successor's key (immutable while
-  // the token validates, since a validating token proves the node
-  // unreclaimed) so bracket probing never touches a cold node: only the
-  // way that wins the probe is dereferenced, for the mark check.
-  struct FingerSlot {
-    struct Way {
-      std::uint64_t token = 0;
-      Node* node = nullptr;
-      Key key{};              // bracket low end; meaningful unless is_head
-      Key succ_key{};         // bracket high end; meaningful unless succ_tail
-      bool is_head = false;   // head sentinel compares below every key
-      bool succ_tail = false; // tail sentinel compares above every key
-      std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
-    };
+  // A way's tag is the reclaimer token it was saved under; a validating
+  // token proves the node unreclaimed, so its cached keys are still its.
+  using Way = sync::FingerWay<Node, Key>;
+  struct FingerSlot : sync::FingerWays<Way> {
     std::uint64_t instance = 0;
-    Way way[kWays] = {};
-    unsigned hand = 0;   // tie rotation for victim selection
-    unsigned ticks = 0;  // replacements since the last aging pass
   };
 
   // Type-erased backlink-chain step for HazardDomain's chain-protecting
@@ -537,52 +460,23 @@ class FRList {
       auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
       const std::uint64_t token = FingerPol::token(reclaimer_);
       const auto [start, bracket] = finger_start<Closed>(k, slot, token);
-      auto out = search_from<Closed>(k, start != nullptr ? start : head_);
+      auto out =
+          this->template search<Closed>(k, start ? start : head_, 1);
       save_finger(slot, token, out, bracket);
       return out;
     } else {
-      return search_from<Closed>(k, head_);
+      return this->template search<Closed>(k, head_, 1);
     }
   }
 
   // Save this search's result into the way cache, under the token of the
   // CURRENT pin (everything reachable in this operation stays
-  // dereferenceable while that token revalidates). A way already caching
-  // the same node is refreshed in place, as is the bracket way that served
-  // this search (its new bracket is a tightened subrange of the old one);
-  // otherwise a clock victim is replaced.
+  // dereferenceable while that token revalidates).
   void save_finger(FingerSlot& slot, std::uint64_t token,
                    const std::pair<Node*, Node*>& out, int bracket) const {
-    if (slot.instance != finger_id_) {
-      slot = FingerSlot{};  // claim: stale ways must never be probed
-      slot.instance = finger_id_;
-    }
-    int w = -1;
-    for (int i = 0; i < kWays; ++i)
-      if (slot.way[i].node == out.first) { w = i; break; }
-    if (w < 0) w = bracket;
-    const bool refresh = w >= 0;
-    if (!refresh) {
-      LF_CHAOS_POINT(kListFingerReplace);
-      w = sync::finger_victim_pick(
-          slot.way, kWays, slot.hand, slot.ticks,
-          [](const typename FingerSlot::Way& e) {
-            return e.node == nullptr;
-          });
-    }
-    auto& e = slot.way[w];
-    e.token = token;
-    e.node = out.first;
-    e.is_head = out.first == head_;
-    if (!e.is_head) e.key = out.first->key;  // cache-warm reads
-    e.succ_tail = out.second->kind == Node::Kind::kTail;
-    if (!e.succ_tail) e.succ_key = out.second->key;
-    // A refreshed way keeps earning frequency; a brand-new way starts at
-    // zero — the next replacement's prime victim unless it earns a hit
-    // first — so one-shot cold keys recycle through a de-facto probation
-    // way instead of eroding the retained hot set.
-    if (refresh) sync::finger_freq_bump(e.freq);
-    else e.freq = 0;
+    sync::finger_claim(slot, finger_id_);
+    const int w = sync::finger_save(slot, out.first, out.second, token,
+                                    bracket, chaos::Site::kListFingerReplace);
     if constexpr (FingerPol::kPublishes) {
       // Publish-while-alive: out.first was found unmarked (hence still
       // linked, hence unreclaimed) under the current guard, so way w's
@@ -623,68 +517,33 @@ class FRList {
                                      std::uint64_t token) const {
     auto& c = stats::tls();
     if (slot.instance == finger_id_) {
-      // Deref-free probe over the cached brackets: prefer the way whose
-      // bracket [key, succ_key] contains k (the tightest such way, by pred
-      // key); otherwise the way with the largest key still on the correct
-      // side of k. Every check here reads only TLS-cached fields.
-      int bracket = -1, fallback = -1;
-      for (int i = 0; i < kWays; ++i) {
-        const auto& e = slot.way[i];
-        if (e.node == nullptr || e.token != token) continue;
-        if (!(e.is_head ||
-              (Closed ? !comp_(k, e.key) : comp_(e.key, k))))
-          continue;  // wrong side of k
-        if (e.succ_tail || !comp_(e.succ_key, k)) {  // k <= succ_key
-          if (bracket < 0 ||
-              (!e.is_head && (slot.way[bracket].is_head ||
-                              comp_(slot.way[bracket].key, e.key))))
-            bracket = i;
-        } else if (fallback < 0 ||
-                   (!e.is_head && (slot.way[fallback].is_head ||
-                                   comp_(slot.way[fallback].key, e.key)))) {
-          fallback = i;
-        }
-      }
-      const int candidates[2] = {bracket, fallback};
-      for (int ci = 0; ci < 2; ++ci) {
-        const int i = candidates[ci];
-        if (i < 0) continue;
-        auto& e = slot.way[i];
-        if (e.node == nullptr) continue;
+      const auto [bracket, fallback] = sync::finger_probe<Closed>(
+          slot, k, comp_, [token](const Way& e) { return e.tag == token; });
+      for (const int i : {bracket, fallback}) {
+        if (i < 0 || slot.way[i].node == nullptr) continue;
         // Publishing policies must re-acquire the retained hazard entry
         // BEFORE the first dereference: a slot mismatch means protection
         // was not continuous (evicted by another structure's save on this
         // thread, or invalidated), so the cached pointer may be freed
-        // memory — kill the way without touching it.
-        if constexpr (FingerPol::kPublishes) {
-          if (!reclaimer_.finger_reacquire(e.node, finger_id_, i)) {
-            e.node = nullptr;
-            continue;
-          }
-        }
-        LF_CHAOS_POINT(kListFingerValidate);
-        Node* start = e.node;
-        std::uint64_t chain = 0;
-        while (start->succ.load().mark) {
-          Node* back = start->backlink.load(std::memory_order_acquire);
-          if (back == nullptr) break;  // defensive; marked => backlink set
+        // memory — the way dies without being touched. A token policy's
+        // proof is the probe's token match.
+        auto reacquire = [&]([[maybe_unused]] Node* n) {
+          if constexpr (FingerPol::kPublishes)
+            return reclaimer_.finger_reacquire(n, finger_id_, i);
+          return true;
+        };
+        // Publish each recovery hop before dereferencing it (its liveness
+        // is already guaranteed by the chain-protecting scan while the
+        // finger entry is held; see reclaim/hazard.h).
+        auto publish_hop = [&]([[maybe_unused]] Node* back) {
           if constexpr (FingerPol::kPublishes) {
-            // Publish the hop before dereferencing it (its liveness is
-            // already guaranteed by the chain-protecting scan while the
-            // finger entry is held; see reclaim/hazard.h).
             LF_CHAOS_POINT(kHazardFingerHop);
             reclaimer_.finger_protect_hop(back);
           }
-          c.backlink_traversal.inc();
-          ++chain;
-          start = back;
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-        if (!start->succ.load().mark) {
-          sync::finger_freq_bump(e.freq);
-          c.finger_hit.inc();
+        };
+        if (Node* start =
+                this->finger_resume(slot.way[i], 1, reacquire, publish_hop))
           return {start, i == bracket ? i : -1};
-        }
       }
     }
     LF_CHAOS_POINT(kListFingerFallback);
@@ -692,194 +551,6 @@ class FRList {
     return {nullptr, -1};
   }
 
-  // ---- SEARCHFROM (Figure 3) --------------------------------------------
-  //
-  // Finds consecutive nodes n1, n2 with n1.right == n2 at some time during
-  // the call and n1.key <= k < n2.key (Closed = true), or
-  // n1.key < k <= n2.key (Closed = false; the paper's SearchFrom(k - eps)).
-  // Physically deletes the logically deleted nodes it encounters by helping
-  // (line 5).
-  template <bool Closed>
-  std::pair<Node*, Node*> search_from(const Key& k, Node* curr) const {
-    auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
-    };
-    Node* next = curr->succ.load().right;
-    LF_PREFETCH(next);
-    while (advances(next)) {
-      // Ensure that either next is unmarked, or both curr and next are
-      // marked and curr was marked earlier (paper lines 3-6).
-      for (;;) {
-        const View next_succ = next->succ.load();
-        if (!next_succ.mark) break;
-        const View curr_succ = curr->succ.load();
-        if (curr_succ.mark && curr_succ.right == next) break;
-        if (curr_succ.right == next) help_marked(curr, next);
-        next = curr->succ.load().right;
-        LF_PREFETCH(next);
-        c.next_update.inc();  // paper line 6
-      }
-      if (advances(next)) {
-        LF_CHAOS_POINT(kListSearchStep);
-        curr = next;
-        c.curr_update.inc();  // paper line 8
-        // Start the next hop's line fill while this node's key compares
-        // run — the dependent-load chain is the list's dominant stall
-        // (util/prefetch.h).
-        next = curr->succ.load().right;
-        LF_PREFETCH(next);
-      }
-    }
-    return {curr, next};
-  }
-
-  // ---- HELPMARKED (Figure 3) --------------------------------------------
-  //
-  // Physically deletes the marked node del (the successor of the flagged
-  // node prev) and removes prev's flag, in one C&S. The thread whose C&S
-  // performs the unlink owns retirement of del.
-  void help_marked(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kListHelpMarked);
-    stats::tls().help_marked.inc();
-    Node* next = del->succ.load().right;
-    const View result =
-        chaos_cas(chaos::Site::kListUnlinkCas, prev->succ,
-                  View{del, false, true}, View{next, false, false});
-    if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
-      reclaimer_.retire(del);
-    }
-  }
-
-  // ---- HELPFLAGGED (Figure 4) -------------------------------------------
-  //
-  // prev is flagged and del is its successor: set del's backlink, mark del,
-  // then physically delete it. Callable by any thread (helping); all
-  // callers compute the same backlink value, so the store is idempotent.
-  void help_flagged(Node* prev, Node* del) const {
-    LF_CHAOS_POINT(kListHelpFlagged);
-    stats::tls().help_flagged.inc();
-    del->backlink.store(prev, std::memory_order_release);
-    if (!del->succ.load().mark) try_mark(del);
-    help_marked(prev, del);
-  }
-
-  // ---- TRYMARK (Figure 4) -----------------------------------------------
-  void try_mark(Node* del) const {
-    do {
-      Node* next = del->succ.load().right;
-      const View result =
-          chaos_cas(chaos::Site::kListMarkCas, del->succ,
-                    View{next, false, false}, View{next, true, false});
-      if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
-      } else if (result.flag && !result.mark) {
-        // Failure because del itself got flagged: a deletion of del's
-        // successor is underway; help it finish, then retry.
-        help_flagged(del, result.right);
-      }
-      // Failure because del.right changed: loop re-reads and retries.
-    } while (!del->succ.load().mark);
-  }
-
-  // ---- TRYFLAG (Figure 5) -------------------------------------------------
-  //
-  // Attempts to flag the predecessor of target. Returns (prev, true) when
-  // this call placed the flag; (prev, false) when another operation's flag
-  // is already in place (that operation will report success for the key);
-  // (nullptr, false) when target was deleted from the list.
-  std::pair<Node*, bool> try_flag(Node* prev, Node* target) const {
-    auto& c = stats::tls();
-    sync::Backoff backoff;
-    for (;;) {
-      if (prev->succ.load() == View{target, false, true}) {
-        return {prev, false};  // predecessor already flagged by someone else
-      }
-      const View result =
-          chaos_cas(chaos::Site::kListFlagCas, prev->succ,
-                    View{target, false, false}, View{target, false, true});
-      if (result == View{target, false, false}) {
-        c.flag_cas.inc();
-        return {prev, true};
-      }
-      if (result == View{target, false, true}) {
-        return {prev, false};  // lost the race to a concurrent flagger
-      }
-      // Lost a C&S to real contention: back off briefly before recovering,
-      // so retry storms on one hot predecessor drain instead of thrashing.
-      // Off the success path, so it adds no counted steps and no fast-path
-      // cost (sync/backoff.h).
-      backoff.pause();
-      // Possibly a failure due to marking: recover through the backlink
-      // chain to the nearest unmarked node (paper lines 9-10).
-      std::uint64_t chain = 0;
-      while (prev->succ.load().mark) {
-        LF_CHAOS_POINT(kListBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink.load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-      // Relocate target's predecessor (paper line 11; k - eps semantics).
-      auto [new_prev, del] = search_from<false>(target->key, prev);
-      if (del != target) return {nullptr, false};  // target got deleted
-      prev = new_prev;
-    }
-  }
-
-  // ---- INSERT retry loop (Figure 5, lines 5-22) ---------------------------
-  //
-  // Attempts to link `node` between prev and next, recovering from flagging
-  // (help the deletion), marking (walk backlinks) and repositioning
-  // (SearchFrom) until the C&S lands or the key turns out to be a duplicate.
-  bool insert_loop(Node* node, Node* prev, Node* next) {
-    auto& c = stats::tls();
-    const Key& k = node->key;
-    sync::Backoff backoff;
-    for (;;) {
-      const View prev_succ = prev->succ.load();
-      if (prev_succ.flag) {
-        help_flagged(prev, prev_succ.right);
-      } else {
-        node->succ.store_unsynchronized(View{next, false, false});
-        const View result =
-            chaos_cas(chaos::Site::kListInsertCas, prev->succ,
-                      View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          c.insert_cas.inc();
-          return true;  // successful insertion (linearization point)
-        }
-        if (result.flag && !result.mark) {
-          help_flagged(prev, result.right);
-        }
-        // Failed insertion C&S under contention: back off before the
-        // recovery walk + re-search (no counted steps; see try_flag).
-        backoff.pause();
-        std::uint64_t chain = 0;
-        while (prev->succ.load().mark) {
-          LF_CHAOS_POINT(kListBacklinkStep);
-          c.backlink_traversal.inc();
-          ++chain;
-          prev = prev->backlink.load(std::memory_order_acquire);
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-      }
-      std::tie(prev, next) = search_from<true>(k, prev);
-      if (node_eq(prev, k)) {
-        delete node;  // never published; plain delete is safe
-        return false;  // DUPLICATE_KEY
-      }
-    }
-  }
-
-  static ValidationReport fail(ValidationReport& rep, const char* msg) {
-    rep.ok = false;
-    rep.error = msg;
-    return rep;
-  }
-
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   Node* head_;
   Node* tail_;

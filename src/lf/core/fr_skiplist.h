@@ -1,7 +1,8 @@
 // FRSkipList — the lock-free skip list of Fomitchev & Ruppert, PODC 2004,
 // Section 4: each level is an instance of the paper's linked-list algorithms
 // (flag bit + mark bit + backlink per node), so every level enjoys the same
-// recover-instead-of-restart behaviour as FRList.
+// recover-instead-of-restart behaviour as FRList: both run the one level
+// protocol of core/level_core.h.
 //
 // Architecture (paper Figure 6): each key is represented by a TOWER of
 // levels 1..h; level 1 is the ROOT and represents the whole tower. Tower
@@ -63,23 +64,112 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "lf/chaos/chaos.h"
+#include "lf/core/level_core.h"
 #include "lf/instrument/counters.h"
 #include "lf/mem/pool.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/reclaimer.h"
-#include "lf/sync/backoff.h"
 #include "lf/sync/succ_field.h"
-#include "lf/util/prefetch.h"
 #include "lf/util/random.h"
 
 namespace lf {
+
+namespace detail {
+
+// One node per tower. The header holds what every hop reads — key and
+// kind — and the tower bookkeeping; the successor fields of levels
+// 1..height follow it in the same block, and the cold backlinks come
+// last (the RocksDB `next[height]` idiom):
+//
+//   [key | value | kind height | tower_alive][succ(1..h)][backlink(1..h)]
+//
+// For <long, long> the header is 24 bytes, so the key, the kind, the
+// root mark succ(1) and the successors of levels 1..5 share the block's
+// first 64-byte line, and a tower of height 1 or 2 is one line. A hop at
+// any level reads the key and the superfluous check's root mark from the
+// line it already loaded, and a descent stays inside the block. Both
+// allocation policies hand out 64-byte-aligned blocks in whole lines, so
+// adjacent towers never share a line. Public as FRSkipList::Node.
+template <typename Key, typename T>
+struct alignas(8) FRSkipListNode {
+  using Succ = sync::SuccField<FRSkipListNode>;
+
+  enum class Kind : unsigned char { kHead, kInterior, kTail };
+
+  Key key;
+  T value;
+  Kind kind;
+  std::uint8_t height;  // planned (coin-flip) height; levels 1..height
+
+  // Tower retirement. Per-level retirement at unlink time would be
+  // unsound: a level unlinked at v stays reachable by descending from the
+  // tower's still-linked level v+1. Instead the tower is retired in one
+  // step when its last linked level is unlinked: any reader that can
+  // reach the tower (by list traversal, backlink, or descent) was
+  // necessarily pinned before that single retire point, so one grace
+  // period covers the whole block.
+  //
+  // tower_alive counts levels that are linked or about to be linked (the
+  // inserter increments before attempting to link, so the count can only
+  // reach zero when no link attempt is in flight and every linked level
+  // has been unlinked). The unlinker or abandoner that drops it to zero
+  // retires the block.
+  std::atomic<int> tower_alive{1};
+
+  FRSkipListNode(Kind k, int h, Key key_arg, T value_arg)
+      : key(std::move(key_arg)),
+        value(std::move(value_arg)),
+        kind(k),
+        height(static_cast<std::uint8_t>(h)) {
+    for (int v = 1; v <= h; ++v) {
+      ::new (lane(v - 1)) Succ();
+      ::new (lane(h + v - 1)) std::atomic<FRSkipListNode*>(nullptr);
+    }
+  }
+
+  Succ& succ(int v) noexcept {
+    return *std::launder(static_cast<Succ*>(lane(v - 1)));
+  }
+  const Succ& succ(int v) const noexcept {
+    return const_cast<FRSkipListNode*>(this)->succ(v);
+  }
+  std::atomic<FRSkipListNode*>& backlink(int v) noexcept {
+    return *std::launder(
+        static_cast<std::atomic<FRSkipListNode*>*>(lane(height + v - 1)));
+  }
+
+  // Block size of a tower of height h.
+  static constexpr std::size_t bytes(int h) noexcept {
+    return sizeof(FRSkipListNode) + static_cast<std::size_t>(2 * h) * kLane;
+  }
+
+ private:
+  static constexpr std::size_t kLane = sizeof(Succ);
+  static_assert(sizeof(Succ) == sizeof(std::atomic<FRSkipListNode*>) &&
+                alignof(Succ) <= 8);
+
+  // i-th word after the header: succ(1..h), then backlink(1..h).
+  void* lane(int i) noexcept {
+    return reinterpret_cast<char*>(this) + sizeof(FRSkipListNode) +
+           static_cast<std::size_t>(i) * kLane;
+  }
+};
+
+// The level protocol as FRSkipList runs it on each level: raw pointers
+// under the reclaimer's guard, the skip-list chaos sites, and Section 4's
+// SearchRight sweep of superfluous towers.
+template <typename Skip, typename Key, typename T, typename Compare>
+using FRSkipListCore =
+    core::LevelCore<Skip, FRSkipListNode<Key, T>, Key, Compare,
+                    core::RawAccess<FRSkipListNode<Key, T>>,
+                    core::SkipSites, core::Sweep::kSuperfluous>;
+
+}  // namespace detail
 
 // The extra template parameter beyond the paper's algorithm:
 //   Alloc       tower allocation policy (mem/pool.h): mem::PoolAlloc
@@ -87,107 +177,38 @@ namespace lf {
 template <typename Key, typename T = Key, typename Compare = std::less<Key>,
           typename Reclaimer = reclaim::EpochReclaimer, int MaxLevel = 24,
           typename Alloc = mem::PoolAlloc>
-class FRSkipList {
+class FRSkipList
+    : private detail::FRSkipListCore<
+          FRSkipList<Key, T, Compare, Reclaimer, MaxLevel, Alloc>, Key, T,
+          Compare> {
   static_assert(MaxLevel >= 2, "need at least two levels (erase cleanup)");
   static_assert(MaxLevel <= 255, "levels are stored in one byte");
+  using Core = detail::FRSkipListCore<FRSkipList, Key, T, Compare>;
+  friend Core;
 
  public:
   using key_type = Key;
   using mapped_type = T;
   using key_compare = Compare;
-
-  struct Node;
+  using Node = detail::FRSkipListNode<Key, T>;
 
  private:
-  using Succ = sync::SuccField<Node>;
-  using View = sync::SuccView<Node>;
+  using typename Core::View;
+  using Core::comp_;
+  using Core::delete_node;
+  using Core::node_eq;
+  using Core::node_lt;
 
  public:
   // Towers occupy levels 1..kMaxTowerHeight; the head reaches one level
   // higher so the top level is always an empty express lane.
   static constexpr int kMaxTowerHeight = MaxLevel - 1;
 
-  // One node per tower. The header holds what every hop reads — key and
-  // kind — and the tower bookkeeping; the successor fields of levels
-  // 1..height follow it in the same block, and the cold backlinks come
-  // last (the RocksDB `next[height]` idiom):
-  //
-  //   [key | value | kind height | tower_alive][succ(1..h)][backlink(1..h)]
-  //
-  // For <long, long> the header is 24 bytes, so the key, the kind, the
-  // root mark succ(1) and the successors of levels 1..5 share the block's
-  // first 64-byte line, and a tower of height 1 or 2 is one line. A hop at
-  // any level reads the key and the superfluous check's root mark from the
-  // line it already loaded, and a descent stays inside the block. Both
-  // allocation policies hand out 64-byte-aligned blocks in whole lines, so
-  // adjacent towers never share a line.
-  struct alignas(8) Node {
-    enum class Kind : unsigned char { kHead, kInterior, kTail };
-
-    Key key;
-    T value;
-    Kind kind;
-    std::uint8_t height;  // planned (coin-flip) height; levels 1..height
-
-    // Tower retirement. Per-level retirement at unlink time would be
-    // unsound: a level unlinked at v stays reachable by descending from the
-    // tower's still-linked level v+1. Instead the tower is retired in one
-    // step when its last linked level is unlinked: any reader that can
-    // reach the tower (by list traversal, backlink, or descent) was
-    // necessarily pinned before that single retire point, so one grace
-    // period covers the whole block.
-    //
-    // tower_alive counts levels that are linked or about to be linked (the
-    // inserter increments before attempting to link, so the count can only
-    // reach zero when no link attempt is in flight and every linked level
-    // has been unlinked). The unlinker or abandoner that drops it to zero
-    // retires the block.
-    std::atomic<int> tower_alive{1};
-
-    Node(Kind k, int h, Key key_arg, T value_arg)
-        : key(std::move(key_arg)),
-          value(std::move(value_arg)),
-          kind(k),
-          height(static_cast<std::uint8_t>(h)) {
-      for (int v = 1; v <= h; ++v) {
-        ::new (lane(v - 1)) Succ();
-        ::new (lane(h + v - 1)) std::atomic<Node*>(nullptr);
-      }
-    }
-
-    Succ& succ(int v) noexcept {
-      return *std::launder(static_cast<Succ*>(lane(v - 1)));
-    }
-    const Succ& succ(int v) const noexcept {
-      return const_cast<Node*>(this)->succ(v);
-    }
-    std::atomic<Node*>& backlink(int v) noexcept {
-      return *std::launder(
-          static_cast<std::atomic<Node*>*>(lane(height + v - 1)));
-    }
-
-    // Block size of a tower of height h.
-    static constexpr std::size_t bytes(int h) noexcept {
-      return sizeof(Node) + static_cast<std::size_t>(2 * h) * kLane;
-    }
-
-   private:
-    static constexpr std::size_t kLane = sizeof(Succ);
-    static_assert(sizeof(Succ) == sizeof(std::atomic<Node*>) &&
-                  alignof(Succ) <= 8);
-
-    // i-th word after the header: succ(1..h), then backlink(1..h).
-    void* lane(int i) noexcept {
-      return reinterpret_cast<char*>(this) + sizeof(Node) +
-             static_cast<std::size_t>(i) * kLane;
-    }
-  };
-
   FRSkipList() : FRSkipList(Compare{}, Reclaimer{}) {}
   explicit FRSkipList(Reclaimer reclaimer)
       : FRSkipList(Compare{}, std::move(reclaimer)) {}
   FRSkipList(Compare comp, Reclaimer reclaimer)
-      : comp_(std::move(comp)), reclaimer_(std::move(reclaimer)) {
+      : Core(std::move(comp)), reclaimer_(std::move(reclaimer)) {
     // The head is one full-height tower; the tail is shared by all levels.
     tail_ = make_tower(Node::Kind::kTail, 1, Key{}, T{});
     head_ = make_tower(Node::Kind::kHead, MaxLevel, Key{}, T{});
@@ -279,12 +300,8 @@ class FRSkipList {
 
   // Count of unmarked towers. O(n); approximate under concurrency.
   std::size_t size() const {
-    [[maybe_unused]] auto guard = reclaimer_.guard();
     std::size_t n = 0;
-    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
-         p = p->succ(1).load().right) {
-      if (!p->succ(1).load().mark) ++n;
-    }
+    for_each([&](const Key&, const T&) { ++n; });
     return n;
   }
 
@@ -293,10 +310,10 @@ class FRSkipList {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
-         p = p->succ(1).load().right) {
-      if (!p->succ(1).load().mark) fn(p->key, p->value);
-    }
+    this->for_each_node(head_, 1, [&](const Node* p) {
+      fn(p->key, p->value);
+      return true;
+    });
   }
 
   std::vector<Key> keys() const {
@@ -333,11 +350,12 @@ class FRSkipList {
   // accessor priority queues need (see lf/extras/priority_queue.h).
   std::optional<std::pair<Key, T>> first() const {
     [[maybe_unused]] auto guard = reclaimer_.guard();
-    for (Node* p = head_->succ(1).load().right; p->kind != Node::Kind::kTail;
-         p = p->succ(1).load().right) {
-      if (!p->succ(1).load().mark) return std::make_pair(p->key, p->value);
-    }
-    return std::nullopt;
+    std::optional<std::pair<Key, T>> out;
+    this->for_each_node(head_, 1, [&](const Node* p) {
+      out.emplace(p->key, p->value);
+      return false;
+    });
+    return out;
   }
 
   int top_level_hint() const noexcept {
@@ -352,36 +370,28 @@ class FRSkipList {
     std::string error;
   };
 
+  // Checks every level as LevelCore::validate_level does, plus the tower
+  // shape: a tower's linked levels are contiguous from 1 (built bottom-up,
+  // removed top-down), none above its height, and no superfluous tower is
+  // linked above level 1.
   ValidationReport validate() const {
     ValidationReport rep;
-    // Towers linked at the level below: a tower's linked levels must be
-    // contiguous from 1 (built bottom-up, removed top-down).
-    std::unordered_set<const Node*> below, here;
-    for (int v = 1; v <= MaxLevel; ++v) {
-      const Node* prev = head_;
-      const Node* curr = prev->succ(v).load().right;
-      if (prev->succ(v).load().mark || prev->succ(v).load().flag)
-        return fail(rep, "head marked or flagged");
+    std::unordered_set<const Node*> below, here;  // towers linked at v-1, v
+    for (int v = 1; v <= MaxLevel && rep.ok; ++v) {
       here.clear();
-      while (curr->kind != Node::Kind::kTail) {
-        if (curr->height < v) return fail(rep, "tower linked above its height");
-        const View cv = curr->succ(v).load();
-        if (cv.mark) return fail(rep, "linked node marked at quiescence");
-        if (cv.flag) return fail(rep, "linked node flagged at quiescence");
-        if (prev->kind == Node::Kind::kInterior &&
-            !comp_(prev->key, curr->key))
-          return fail(rep, "INV1 violated: keys not strictly sorted");
-        if (v > 1) {
-          if (below.count(curr) == 0)
-            return fail(rep, "tower linked at a level but not the one below");
-          if (curr->succ(1).load().mark)
-            return fail(rep, "superfluous node linked at quiescence");
-        }
-        here.insert(curr);
-        ++rep.node_count;
-        prev = curr;
-        curr = cv.right;
-        if (curr == nullptr) return fail(rep, "level does not reach tail");
+      const char* error = this->validate_level(
+          head_, v, rep.node_count, [&](const Node* n) -> const char* {
+            if (n->height < v) return "tower linked above its height";
+            if (v > 1 && below.count(n) == 0)
+              return "tower linked at a level but not the one below";
+            if (v > 1 && n->succ(1).load().mark)
+              return "superfluous node linked at quiescence";
+            here.insert(n);
+            return nullptr;
+          });
+      if (error != nullptr) {
+        rep.ok = false;
+        rep.error = error;
       }
       std::swap(below, here);
     }
@@ -423,8 +433,6 @@ class FRSkipList {
   Node* tail() const noexcept { return tail_; }
 
  private:
-  enum class InsertResult { kInserted, kDuplicate };
-
   // Insert_SL with an explicit tower height (public insert draws it from
   // the coin-flip rng; tests may pin it).
   InsertStatus insert_impl(const Key& k, T value, const int tower_height) {
@@ -442,44 +450,9 @@ class FRSkipList {
       stats::tls().op_insert.inc();
       return InsertStatus::kNoMemory;  // nothing linked, nothing leaked
     }
-    int curr_v = 1;
-    for (;;) {
-      auto [new_prev, result] = insert_node(node, prev, next, curr_v);
-      prev = new_prev;
-      if (result == InsertResult::kDuplicate) {
-        if (curr_v == 1) {
-          // Never published; nobody else can hold it.
-          destroy_tower(node);
-          stats::tls().op_insert.inc();
-          return InsertStatus::kDuplicate;
-        }
-        // A same-key tower exists at an upper level: only possible after
-        // our root was deleted and the key reinserted. Abandon the level
-        // (never linked) and release the reference taken before the
-        // attempt.
-        release_tower_ref(node);
-        break;
-      }
-      if (node->succ(1).load().mark) {
-        // Construction interrupted by a deletion of our root (Section 4).
-        // Remove the level we just linked above the (now superfluous)
-        // root, then finish: the root WAS inserted, so we report success.
-        if (curr_v != 1) delete_node(prev, node, curr_v);
-        break;
-      }
-      raise_top_hint(curr_v);
-      if (curr_v == tower_height) break;  // tower complete
-      ++curr_v;
-      LF_CHAOS_POINT(kSkipTowerBuild);
-      // Count the upcoming link BEFORE attempting it (see Node docs): while
-      // tower_alive includes this level, nobody can retire the tower. If
-      // the tower already died (count reached zero), it must NOT be
-      // resurrected: stop building.
-      if (!acquire_tower_ref(node)) break;
-      std::tie(prev, next) = search_to_level<true>(k, curr_v);
-    }
+    const bool inserted = this->build_tower(node, prev, next, tower_height);
     stats::tls().op_insert.inc();
-    return InsertStatus::kInserted;
+    return inserted ? InsertStatus::kInserted : InsertStatus::kDuplicate;
   }
 
   static Node* make_tower(typename Node::Kind kind, int height, Key key,
@@ -497,36 +470,36 @@ class FRSkipList {
     Alloc::deallocate(p, bytes);
   }
 
-  // ---- Chaos instrumentation -------------------------------------------
-  // Same contract as FRList::chaos_cas: zero-cost passthrough when chaos
-  // is off; when on, an armed forced failure returns a view matching no
-  // caller pattern so the caller re-reads real state and recovers.
-  static View chaos_cas([[maybe_unused]] chaos::Site site, Succ& field,
-                        View expected, View desired) {
-#if LF_CHAOS
-    chaos::point(site);
-    if (chaos::force_cas_fail(site)) {
-      stats::tls().cas_attempt.inc();  // a failed attempt is still a step
-      return View{nullptr, true, false};
+  // ---- Level-core hooks (core/level_core.h) -----------------------------
+  static sync::SuccField<Node>& succ(Node* n, int v) noexcept {
+    return n->succ(v);
+  }
+  static std::atomic<Node*>& backlink(Node* n, int v) noexcept {
+    return n->backlink(v);
+  }
+  // A tower is superfluous once its root is marked (Section 4); succ(1)
+  // shares the line the key was just read from.
+  bool superfluous(const Node* n) const noexcept {
+    return n->succ(1).load().mark;
+  }
+  // Unlinking one level drops the tower reference that level held.
+  void on_unlink(Node* del) const { release_tower_ref(del); }
+  // Level v of a tower is the same node, once the upcoming link is
+  // counted BEFORE it is attempted (see Node docs): while tower_alive
+  // includes this level, nobody can retire the tower. A tower that
+  // already died (count reached zero) must NOT be resurrected.
+  Node* level_node(Node* tower, int) const {
+    return acquire_tower_ref(tower) ? tower : nullptr;
+  }
+  // A level that was never linked: at level 1 the tower was never
+  // published, so nobody else can hold it; above it, release the
+  // reference taken for the attempt.
+  void abandon_level(Node* tower, int v) const {
+    if (v == 1) {
+      destroy_tower(tower);
+    } else {
+      release_tower_ref(tower);
     }
-#endif
-    return field.cas(expected, desired);
-  }
-
-  // ---- ordering helpers (sentinels = -inf / +inf) -----------------------
-  bool node_lt(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return comp_(n->key, k);
-  }
-  bool node_le(const Node* n, const Key& k) const {
-    if (n->kind == Node::Kind::kHead) return true;
-    if (n->kind == Node::Kind::kTail) return false;
-    return !comp_(k, n->key);
-  }
-  bool node_eq(const Node* n, const Key& k) const {
-    return n->kind == Node::Kind::kInterior && !comp_(n->key, k) &&
-           !comp_(k, n->key);
   }
 
   static Xoshiro256& tls_rng() {
@@ -536,7 +509,7 @@ class FRSkipList {
     return rng;
   }
 
-  void raise_top_hint(int level) noexcept {
+  void raise_top_hint(int level) const noexcept {
     int top = top_hint_.load(std::memory_order_relaxed);
     while (top < level && !top_hint_.compare_exchange_weak(
                               top, level, std::memory_order_relaxed)) {
@@ -561,73 +534,10 @@ class FRSkipList {
     if (curr_v < v) curr_v = v;
     Node* curr = head_;
     while (curr_v > v) {
-      curr = search_right<false>(k, curr, curr_v).first;
+      curr = this->template search<false>(k, curr, curr_v).first;
       --curr_v;  // Section 4's `down`: the same tower, one level lower
     }
-    return search_right<Closed>(k, curr, v);
-  }
-
-  // ---- SearchRight --------------------------------------------------------
-  //
-  // SearchFrom (Figure 3) on one level, with the Section 4 addition:
-  // "SearchRight deletes the superfluous nodes along its way, performing
-  // all three deletion steps if necessary, whereas SearchFrom physically
-  // deletes only those nodes that are already logically deleted."
-  // Every routine below works on one level v of the towers it is given.
-  template <bool Closed>
-  std::pair<Node*, Node*> search_right(const Key& k, Node* curr,
-                                       int v) const {
-    auto& c = stats::tls();
-    auto advances = [&](const Node* n) {
-      return Closed ? node_le(n, k) : node_lt(n, k);
-    };
-    Node* next = curr->succ(v).load().right;
-    LF_PREFETCH(next);
-    for (;;) {
-      // Delete every superfluous tower on the search path (root marked;
-      // succ(1) shares the line the key was just read from). The trigger
-      // is key <= k in BOTH search modes: a strict (k - eps) search never
-      // steps INTO a node with key == k, but the erase cleanup descends
-      // with exactly that key and must still remove the tower's upper
-      // levels, and removal never moves curr rightward, so the
-      // postcondition of either mode is preserved.
-      while (next->kind == Node::Kind::kInterior && node_le(next, k) &&
-             next->succ(1).load().mark) {
-        auto [new_curr, status, flagged] = try_flag_node(curr, next, v);
-        curr = new_curr;
-        if (status == FlagStatus::kIn) {
-          (void)flagged;
-          help_flagged(curr, next, v);
-        }
-        next = curr->succ(v).load().right;
-        LF_PREFETCH(next);
-        c.next_update.inc();
-      }
-      if (!advances(next)) break;
-      LF_CHAOS_POINT(kSkipSearchStep);
-      curr = next;
-      c.curr_update.inc();
-      // The hop is a dependent-load chain; start pulling in the next node's
-      // line while this iteration finishes its key compare (util/prefetch.h).
-      next = curr->succ(v).load().right;
-      LF_PREFETCH(next);
-    }
-    return {curr, next};
-  }
-
-  // ---- level-local deletion machinery (Figures 3-5, per level) ----------
-
-  void help_marked(Node* prev, Node* del, int v) const {
-    LF_CHAOS_POINT(kSkipHelpMarked);
-    stats::tls().help_marked.inc();
-    Node* next = del->succ(v).load().right;
-    const View result =
-        chaos_cas(chaos::Site::kSkipUnlinkCas, prev->succ(v),
-                  View{del, false, true}, View{next, false, false});
-    if (result == View{del, false, true}) {
-      stats::tls().pdelete_cas.inc();
-      release_tower_ref(del);
-    }
+    return this->template search<Closed>(k, curr, v);
   }
 
   // Take a reference on a tower for an upcoming link attempt; fails (and
@@ -651,128 +561,10 @@ class FRSkipList {
     reclaimer_.retire_with(tower, &destroy_tower);
   }
 
-  void help_flagged(Node* prev, Node* del, int v) const {
-    LF_CHAOS_POINT(kSkipHelpFlagged);
-    stats::tls().help_flagged.inc();
-    del->backlink(v).store(prev, std::memory_order_release);
-    if (!del->succ(v).load().mark) try_mark(del, v);
-    help_marked(prev, del, v);
-  }
-
-  void try_mark(Node* del, int v) const {
-    do {
-      Node* next = del->succ(v).load().right;
-      const View result =
-          chaos_cas(chaos::Site::kSkipMarkCas, del->succ(v),
-                    View{next, false, false}, View{next, true, false});
-      if (result == View{next, false, false}) {
-        stats::tls().mark_cas.inc();
-      } else if (result.flag && !result.mark) {
-        help_flagged(del, result.right, v);
-      }
-    } while (!del->succ(v).load().mark);
-  }
-
-  enum class FlagStatus { kIn, kDeleted };
-
-  // TryFlagNode: flag target's predecessor on level v. Returns the updated
-  // predecessor, whether target is still in the list, and whether THIS
-  // call placed the flag.
-  std::tuple<Node*, FlagStatus, bool> try_flag_node(Node* prev, Node* target,
-                                                    int v) const {
-    auto& c = stats::tls();
-    sync::Backoff backoff;
-    for (;;) {
-      if (prev->succ(v).load() == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      const View result =
-          chaos_cas(chaos::Site::kSkipFlagCas, prev->succ(v),
-                    View{target, false, false}, View{target, false, true});
-      if (result == View{target, false, false}) {
-        c.flag_cas.inc();
-        return {prev, FlagStatus::kIn, true};
-      }
-      if (result == View{target, false, true}) {
-        return {prev, FlagStatus::kIn, false};
-      }
-      // Lost a C&S to real contention: back off briefly before recovering
-      // (failure path only — no counted steps, no fast-path cost).
-      backoff.pause();
-      std::uint64_t chain = 0;
-      while (prev->succ(v).load().mark) {
-        LF_CHAOS_POINT(kSkipBacklinkStep);
-        c.backlink_traversal.inc();
-        ++chain;
-        prev = prev->backlink(v).load(std::memory_order_acquire);
-      }
-      if (chain > 0) stats::chain_hist_tls().record(chain);
-      auto [new_prev, del] = search_right<false>(target->key, prev, v);
-      if (del != target) return {new_prev, FlagStatus::kDeleted, false};
-      prev = new_prev;
-    }
-  }
-
-  // DeleteNode: the three-step deletion of one level of a tower. Returns
-  // true iff this operation's flag initiated the deletion (the caller may
-  // then report success for the dictionary-level Delete).
-  bool delete_node(Node* prev, Node* del, int v) const {
-    auto [flag_prev, status, flagged] = try_flag_node(prev, del, v);
-    if (status == FlagStatus::kIn) help_flagged(flag_prev, del, v);
-    return flagged;
-  }
-
-  // InsertNode: the Insert retry loop (Figure 5 lines 5-22) on level v.
-  std::pair<Node*, InsertResult> insert_node(Node* node, Node* prev,
-                                             Node* next, int v) const {
-    auto& c = stats::tls();
-    const Key& k = node->key;
-    if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
-    sync::Backoff backoff;
-    for (;;) {
-      const View prev_succ = prev->succ(v).load();
-      if (prev_succ.flag) {
-        help_flagged(prev, prev_succ.right, v);
-      } else {
-        node->succ(v).store_unsynchronized(View{next, false, false});
-        const View result =
-            chaos_cas(chaos::Site::kSkipInsertCas, prev->succ(v),
-                      View{next, false, false}, View{node, false, false});
-        if (result == View{next, false, false}) {
-          c.insert_cas.inc();
-          return {prev, InsertResult::kInserted};
-        }
-        if (result.flag && !result.mark) {
-          help_flagged(prev, result.right, v);
-        }
-        // Failed insertion C&S under contention: back off before the
-        // recovery walk + re-search (failure path only; see try_flag_node).
-        backoff.pause();
-        std::uint64_t chain = 0;
-        while (prev->succ(v).load().mark) {
-          LF_CHAOS_POINT(kSkipBacklinkStep);
-          c.backlink_traversal.inc();
-          ++chain;
-          prev = prev->backlink(v).load(std::memory_order_acquire);
-        }
-        if (chain > 0) stats::chain_hist_tls().record(chain);
-      }
-      std::tie(prev, next) = search_right<true>(k, prev, v);
-      if (node_eq(prev, k)) return {prev, InsertResult::kDuplicate};
-    }
-  }
-
-  static ValidationReport fail(ValidationReport& rep, const char* msg) {
-    rep.ok = false;
-    rep.error = msg;
-    return rep;
-  }
-
-  Compare comp_;
   mutable Reclaimer reclaimer_;
   Node* head_;  // one full-height tower
   Node* tail_;
-  std::atomic<int> top_hint_;
+  mutable std::atomic<int> top_hint_;
 
   static_assert(reclaim::reclaimer_for<Reclaimer, Node>);
   // Towers are retired with a deleter that frees the whole block, so the

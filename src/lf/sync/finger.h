@@ -70,7 +70,7 @@
 //
 // The reference-counted variants (core/*_rc.h) do not use tokens; they
 // validate by re-acquiring a count on the node and checking a per-node
-// reuse stamp (see fr_list_rc.h::finger_try_hold).
+// reuse stamp (core/counted_access.h: finger_try_hold).
 //
 // Storage: hints live in thread_local direct-mapped slot arrays, keyed by a
 // monotonically increasing per-structure instance id. Ids are never reused,
@@ -86,7 +86,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
+#include "lf/chaos/chaos.h"
 #include "lf/reclaim/epoch.h"
 #include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
@@ -211,6 +213,104 @@ int finger_victim_pick(Way* ways, int n, unsigned& hand, unsigned& ticks,
   }
   hand = static_cast<unsigned>((victim + 1) % n);
   return victim;
+}
+
+// One way of a bracket-keyed finger cache: a position a search returned
+// (`node`, the n1 of its result), the bracket of keys it serves ([key,
+// succ_key], n1's and n2's keys) and its validity tag — the reclaimer token
+// (FRList) or the node's reuse stamp (the counted structures). The keys are
+// cached copies, so probing never touches a cold node: only the way that
+// wins the probe is dereferenced, after its tag or stamp validates.
+template <typename Node, typename Key>
+struct FingerWay {
+  std::uint64_t tag = 0;
+  Node* node = nullptr;
+  Key key{};              // bracket low end; meaningful unless is_head
+  Key succ_key{};         // bracket high end; meaningful unless succ_tail
+  bool is_head = false;   // head sentinel compares below every key
+  bool succ_tail = false; // tail sentinel compares above every key
+  std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
+};
+
+// The ways of one cache (one per level for a skip list) with their
+// replacement state.
+template <typename Way>
+struct FingerWays {
+  Way way[kFingerCacheWays] = {};
+  unsigned hand = 0;   // tie rotation for victim selection
+  unsigned ticks = 0;  // replacements since the last aging pass
+};
+
+// Claims a thread's direct-mapped slot for instance `id`: ways left by
+// another instance must never be probed as this one's.
+template <typename Slot>
+void finger_claim(Slot& slot, std::uint64_t id) noexcept {
+  if (slot.instance != id) {
+    slot = Slot{};
+    slot.instance = id;
+  }
+}
+
+// Deref-free probe over the cached brackets for key k. Returns {bracket,
+// fallback}, way indices or -1: `bracket` is the way whose [key, succ_key]
+// contains k (the tightest such way, by low key); `fallback` the way with
+// the largest low key still on the correct side of k. A way qualifies when
+// its low key is < k (Closed: <= k; the start a search may resume from)
+// and `usable(way)` holds. Every check reads only the cached fields.
+template <bool Closed, typename Way, typename Key, typename Compare,
+          typename Usable>
+std::pair<int, int> finger_probe(const FingerWays<Way>& set, const Key& k,
+                                 const Compare& comp, Usable&& usable) {
+  auto tighter = [&](int best, const Way& e) {
+    return best < 0 || (!e.is_head && (set.way[best].is_head ||
+                                       comp(set.way[best].key, e.key)));
+  };
+  int bracket = -1, fallback = -1;
+  for (int i = 0; i < kFingerCacheWays; ++i) {
+    const Way& e = set.way[i];
+    if (e.node == nullptr || !usable(e)) continue;
+    if (!(e.is_head || (Closed ? !comp(k, e.key) : comp(e.key, k))))
+      continue;  // wrong side of k
+    if (e.succ_tail || !comp(e.succ_key, k)) {  // k <= succ_key
+      if (tighter(bracket, e)) bracket = i;
+    } else if (tighter(fallback, e)) {
+      fallback = i;
+    }
+  }
+  return {bracket, fallback};
+}
+
+// Saves a search result (n, its successor succ) with validity tag `tag`.
+// A way already caching n is refreshed in place, then the way `prefer`
+// (the bracket way that served the search, whose new bracket is a
+// tightened subrange of its old one; -1 for none); otherwise an LFU
+// victim is replaced. A refreshed way keeps earning frequency; a brand-new
+// way starts at zero — the next replacement's prime victim unless it earns
+// a hit first — so one-shot cold keys recycle through a de-facto probation
+// way instead of eroding the retained hot set. Returns the way written.
+template <typename Way, typename Node>
+int finger_save(FingerWays<Way>& set, Node* n, Node* succ, std::uint64_t tag,
+                int prefer, chaos::Site replace_site) {
+  int w = -1;
+  for (int i = 0; i < kFingerCacheWays; ++i)
+    if (set.way[i].node == n) { w = i; break; }
+  if (w < 0) w = prefer;
+  const bool refresh = w >= 0;
+  if (!refresh) {
+    chaos::point_at(replace_site);
+    w = finger_victim_pick(set.way, kFingerCacheWays, set.hand, set.ticks,
+                           [](const Way& e) { return e.node == nullptr; });
+  }
+  Way& e = set.way[w];
+  e.tag = tag;
+  e.node = n;
+  e.is_head = n->kind == Node::Kind::kHead;
+  if (!e.is_head) e.key = n->key;  // cache-warm reads
+  e.succ_tail = succ->kind == Node::Kind::kTail;
+  if (!e.succ_tail) e.succ_key = succ->key;
+  if (refresh) finger_freq_bump(e.freq);
+  else e.freq = 0;
+  return w;
 }
 
 // Direct-mapped thread-local slot array for a structure's Slot type. Each
