@@ -5,8 +5,8 @@
 // searches always descend from the head (its finger layer lost wall clock
 // on every workload and was removed; these rows keep their `finger: off`
 // labels so tools/bench_trend.py keeps gating them), and {finger on, finger
-// off} for the reference-counted FRSkipListRC, at 1, 8 and 16 threads, on
-// three key streams:
+// off} for the reference-counted FRSkipListRC and for FRList under epoch
+// reclamation, at 1, 8 and 16 threads, on three key streams:
 //
 //   * zipf-0.99   — Zipfian popularity with SCRAMBLED positions (the raw
 //                   generator puts hot keys at the left edge of the key
@@ -19,8 +19,8 @@
 //                   percent, or the layer is mispriced).
 //
 // The claim under test: on the localized streams the finger-enabled
-// FRSkipListRC does fewer essential steps/op than finger-off at every
-// thread count, while uniform stays within a few percent. Multi-thread
+// FRSkipListRC and FRList do fewer essential steps/op than finger-off at
+// every thread count, while uniform stays within a few percent. Multi-thread
 // wall-clock rows at 8 and 16 threads oversubscribe the host's cores, so
 // they measure scheduling, not parallelism — steps/op is the
 // schedule-independent headline (see EXPERIMENTS.md).
@@ -37,8 +37,10 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "lf/core/fr_list.h"
 #include "lf/core/fr_skiplist.h"
 #include "lf/core/fr_skiplist_rc.h"
 #include "lf/harness/bench_env.h"
@@ -57,6 +59,12 @@ namespace wl = lf::workload;
 
 template <typename Reclaimer>
 using Skip = lf::FRSkipList<long, long, std::less<long>, Reclaimer>;
+template <typename Finger>
+using SkipRC = lf::FRSkipListRC<long, long, std::less<long>, 24, Finger>;
+template <typename Finger>
+using List = lf::FRList<long, long, std::less<long>,
+                        lf::reclaim::EpochReclaimer, lf::mem::PoolAlloc,
+                        Finger>;
 
 constexpr std::uint64_t kKeySpace = 4096;
 constexpr std::uint64_t kPrefill = 2048;
@@ -93,8 +101,11 @@ struct Row {
   double skip_per_op = 0;
 };
 
-template <typename Reclaimer>
-Row run_one(const char* reclaimer_name, const Workload& w, int threads) {
+// Prefills a fresh Set, runs workload w at `threads` threads and labels the
+// row.
+template <typename Set>
+Row run_one(const char* layout, const char* reclaimer, bool finger,
+            const Workload& w, int threads) {
   wl::RunConfig cfg;
   cfg.threads = threads;
   cfg.ops_per_thread = g_ops_total / static_cast<std::uint64_t>(threads);
@@ -106,13 +117,14 @@ Row run_one(const char* reclaimer_name, const Workload& w, int threads) {
   cfg.seed = 0xf168e4;
   cfg.measure_contention = false;
 
-  Skip<Reclaimer> set;
+  Set set;
   wl::prefill(set, cfg);
   const auto res = wl::run_workload(set, cfg);
 
   Row r;
-  r.layout = "tower";
-  r.reclaimer = reclaimer_name;
+  r.layout = layout;
+  r.reclaimer = reclaimer;
+  r.finger = finger;
   r.workload = w.name;
   r.threads = threads;
   r.mops = res.mops_per_sec();
@@ -142,58 +154,36 @@ void record(std::vector<Row>& rows, Row r) {
   if (!g_smoke) emit_json(rows);
 }
 
+// Every workload at 1, 8 and 16 threads.
+template <typename Fn>
+void each_config(Fn&& fn) {
+  for (const Workload& w : kWorkloads)
+    for (int threads : {1, 8, 16}) fn(w, threads);
+}
+
 template <typename Reclaimer>
-void run_reclaimer(const char* reclaimer_name, std::vector<Row>& rows) {
-  for (const Workload& w : kWorkloads) {
-    for (int threads : {1, 8, 16}) {
-      record(rows, run_one<Reclaimer>(reclaimer_name, w, threads));
-    }
-  }
+void run_skiplist(const char* reclaimer_name, std::vector<Row>& rows) {
+  each_config([&](const Workload& w, int threads) {
+    record(rows,
+           run_one<Skip<Reclaimer>>("tower", reclaimer_name, false, w,
+                                    threads));
+  });
 }
 
-// The reference-counted variant (FRSkipListRC): stamp-validated fingers
-// over a type-stable arena. Its own class, so it gets its own run_one.
-template <typename Finger>
-Row run_one_rc(bool finger_on, const Workload& w, int threads) {
-  wl::RunConfig cfg;
-  cfg.threads = threads;
-  cfg.ops_per_thread = g_ops_total / static_cast<std::uint64_t>(threads);
-  cfg.key_space = kKeySpace;
-  cfg.prefill = kPrefill;
-  cfg.mix = {10, 10};
-  cfg.dist = w.dist;
-  cfg.keygen = w.opts;
-  cfg.seed = 0xf168e4;
-  cfg.measure_contention = false;
-
-  lf::FRSkipListRC<long, long, std::less<long>, 24, Finger> set;
-  wl::prefill(set, cfg);
-  const auto res = wl::run_workload(set, cfg);
-
-  Row r;
-  r.layout = "arena";
-  r.reclaimer = "rc";
-  r.finger = finger_on;
-  r.workload = w.name;
-  r.threads = threads;
-  r.mops = res.mops_per_sec();
-  r.ns_per_op = res.total_ops == 0
-                    ? 0
-                    : res.seconds * 1e9 / static_cast<double>(res.total_ops);
-  r.steps_per_op = res.steps_per_op();
-  r.hit_rate = res.steps.finger_hit_rate();
-  r.skip_per_op = static_cast<double>(res.steps.finger_skip) /
-                  static_cast<double>(res.total_ops);
-  return r;
-}
-
-void run_rc(std::vector<Row>& rows) {
-  for (const Workload& w : kWorkloads) {
-    for (int threads : {1, 8, 16}) {
-      record(rows, run_one_rc<lf::sync::FingerOff>(false, w, threads));
-      record(rows, run_one_rc<lf::sync::FingerOn>(true, w, threads));
-    }
-  }
+// Finger off and on for a structure that keeps a finger layer: the
+// reference-counted FRSkipListRC (stamp-validated fingers over a
+// type-stable arena), and FRList under epoch reclamation, the list the repo
+// benchmark's list-local workload runs (does its finger, ways plus left
+// anchors, lose ns/op where there is no locality to exploit?).
+template <template <typename> class Set>
+void run_on_off(const char* layout, const char* reclaimer,
+                std::vector<Row>& rows) {
+  each_config([&](const Workload& w, int threads) {
+    record(rows, run_one<Set<lf::sync::FingerOff>>(layout, reclaimer, false,
+                                                   w, threads));
+    record(rows, run_one<Set<lf::sync::FingerOn>>(layout, reclaimer, true, w,
+                                                  threads));
+  });
 }
 
 const Row* find_row(const std::vector<Row>& rows, const std::string& layout,
@@ -255,9 +245,10 @@ int main(int argc, char** argv) {
       "workloads should drop steps/op sharply, uniform must not regress");
 
   std::vector<Row> rows;
-  run_reclaimer<lf::reclaim::EpochReclaimer>("epoch", rows);
-  run_reclaimer<lf::reclaim::HazardReclaimer>("hazard", rows);
-  run_rc(rows);
+  run_skiplist<lf::reclaim::EpochReclaimer>("epoch", rows);
+  run_skiplist<lf::reclaim::HazardReclaimer>("hazard", rows);
+  run_on_off<SkipRC>("arena", "rc", rows);
+  run_on_off<List>("list", "epoch", rows);
 
   for (const Workload& w : kWorkloads) {
     lf::harness::print_section(std::string("workload: ") + w.name);
@@ -273,22 +264,26 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  // Acceptance summary: steps/op reduction of finger-on vs finger-off (the
-  // RC rows, the only skip list with a finger layer).
-  lf::harness::print_section("finger-on steps/op reduction vs finger-off");
-  Table s({"layout", "reclaim", "workload", "threads", "off", "on",
-           "reduction"});
-  for (const Workload& w : kWorkloads) {
-    for (int threads : {1, 8, 16}) {
-      const Row* off = find_row(rows, "arena", "rc", false, w.name, threads);
-      const Row* on = find_row(rows, "arena", "rc", true, w.name, threads);
-      if (off == nullptr || on == nullptr || off->steps_per_op == 0) continue;
+  // Acceptance summary: finger-on vs finger-off for the two structures
+  // that keep a finger layer, FRSkipListRC and FRList.
+  lf::harness::print_section("finger-on vs finger-off");
+  Table s({"layout", "reclaim", "workload", "threads", "steps off", "on",
+           "reduction", "ns/op off", "on"});
+  for (const auto& [layout, reclaimer] :
+       {std::pair{"arena", "rc"}, std::pair{"list", "epoch"}}) {
+    each_config([&](const Workload& w, int threads) {
+      const Row* off = find_row(rows, layout, reclaimer, false, w.name,
+                                threads);
+      const Row* on = find_row(rows, layout, reclaimer, true, w.name,
+                               threads);
+      if (off == nullptr || on == nullptr || off->steps_per_op == 0) return;
       const double red = 1.0 - on->steps_per_op / off->steps_per_op;
-      s.add_row({"arena", "rc", w.name, std::to_string(threads),
+      s.add_row({layout, reclaimer, w.name, std::to_string(threads),
                  Table::num(off->steps_per_op, 2),
                  Table::num(on->steps_per_op, 2),
-                 Table::num(100.0 * red, 1) + "%"});
-    }
+                 Table::num(100.0 * red, 1) + "%",
+                 Table::num(off->ns_per_op, 0), Table::num(on->ns_per_op, 0)});
+    });
   }
   s.print();
   std::cout << "Expected shape: zipf-0.99 and repeat-range reductions >= 20%\n"

@@ -5,6 +5,12 @@
 //
 // Reported in both units: Mops/s (wall clock — only meaningful relative to
 // core count) and the paper's steps/op (schedule-driven, portable).
+//
+// `bench_list_throughput --smoke` runs a 64-key grid with 2,000 operations
+// per configuration (the ctest row bench_list_throughput_smoke) and exits
+// non-zero unless the FR list never restarted from the head and ended
+// every run with its invariants intact (FRList::validate).
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -19,10 +25,14 @@
 
 namespace {
 
+struct Measured {
+  lf::workload::RunResult res;
+  bool valid = true;  // the structure's own invariant check, if it has one
+};
+
 template <typename Set>
-lf::workload::RunResult measure(int threads, std::uint64_t n,
-                                lf::workload::OpMix mix,
-                                std::uint64_t total_ops) {
+Measured measure(int threads, std::uint64_t n, lf::workload::OpMix mix,
+                 std::uint64_t total_ops) {
   Set set;
   lf::workload::RunConfig cfg;
   cfg.threads = threads;
@@ -32,24 +42,29 @@ lf::workload::RunResult measure(int threads, std::uint64_t n,
   cfg.mix = mix;
   cfg.seed = 11;
   lf::workload::prefill(set, cfg);
-  return lf::workload::run_workload(set, cfg);
+  Measured m{lf::workload::run_workload(set, cfg)};
+  if constexpr (requires { set.validate().ok; }) m.valid = set.validate().ok;
+  return m;
 }
 
 struct Impl {
   const char* name;
-  lf::workload::RunResult (*run)(int, std::uint64_t, lf::workload::OpMix,
-                                 std::uint64_t);
+  Measured (*run)(int, std::uint64_t, lf::workload::OpMix, std::uint64_t);
+  bool restart_free;  // the FR list recovers through backlinks instead
 };
 
 const Impl kImpls[] = {
-    {"FRList (paper)", &measure<lf::FRList<long, long>>},
-    {"HarrisList", &measure<lf::HarrisList<long, long>>},
-    {"MichaelList", &measure<lf::MichaelList<long, long>>},
-    {"LazyList", &measure<lf::LazyList<long, long>>},
-    {"CoarseList", &measure<lf::CoarseList<long, long>>},
+    {"FRList (paper)", &measure<lf::FRList<long, long>>, true},
+    {"HarrisList", &measure<lf::HarrisList<long, long>>, false},
+    {"MichaelList", &measure<lf::MichaelList<long, long>>, false},
+    {"LazyList", &measure<lf::LazyList<long, long>>, false},
+    {"CoarseList", &measure<lf::CoarseList<long, long>>, false},
 };
 
-void grid(std::uint64_t n, lf::workload::OpMix mix, std::uint64_t ops) {
+// Runs the grid and prints its table. Returns false (and says why) if a
+// restart-free implementation restarted or a run broke an invariant.
+bool grid(std::uint64_t n, lf::workload::OpMix mix, std::uint64_t ops) {
+  bool ok = true;
   lf::harness::print_section("n = " + std::to_string(n) + ", mix " +
                              mix.name());
   lf::harness::Table table({"impl", "t=1 Mops", "t=2 Mops", "t=4 Mops",
@@ -59,7 +74,13 @@ void grid(std::uint64_t n, lf::workload::OpMix mix, std::uint64_t ops) {
     double steps4 = 0, restarts4 = 0;
     int i = 0;
     for (int t : {1, 2, 4, 8}) {
-      const auto res = impl.run(t, n, mix, ops);
+      const auto [res, valid] = impl.run(t, n, mix, ops);
+      if (!valid || (impl.restart_free && res.steps.restart != 0)) {
+        std::cout << "FAIL: " << impl.name << " t=" << t << ": "
+                  << res.steps.restart << " restarts, invariants "
+                  << (valid ? "hold" : "broken") << "\n";
+        ok = false;
+      }
       cells[i++] = lf::harness::Table::num(res.mops_per_sec(), 2);
       if (t == 4) {
         steps4 = res.steps_per_op();
@@ -72,23 +93,39 @@ void grid(std::uint64_t n, lf::workload::OpMix mix, std::uint64_t ops) {
                    lf::harness::Table::num(restarts4, 4)});
   }
   table.print();
+  return ok;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      std::cerr << "usage: bench_list_throughput [--smoke]\n";
+      return 2;
+    }
+  }
   lf::harness::print_environment(
       "E3 (Sections 1-2)",
       "FR list does competitive work per op vs Harris/Michael and avoids "
       "their restarts; lock-free beats coarse locking under concurrency");
 
-  grid(512, {10, 10}, 60'000);   // read-mostly
-  grid(512, {50, 50}, 60'000);   // update-only
-  grid(4096, {10, 10}, 40'000);  // larger list, read-mostly
+  bool ok = true;
+  if (smoke) {
+    ok &= grid(64, {10, 10}, 2'000);
+    ok &= grid(64, {50, 50}, 2'000);
+  } else {
+    ok &= grid(512, {10, 10}, 60'000);   // read-mostly
+    ok &= grid(512, {50, 50}, 60'000);   // update-only
+    ok &= grid(4096, {10, 10}, 40'000);  // larger list, read-mostly
+  }
 
   std::cout << "Note: wall-clock scalability across t is only meaningful\n"
                "with >= t physical cores; steps/op and restarts/op are the\n"
                "portable comparison (restarts are Harris/Michael recovery;\n"
                "the FR list never restarts).\n";
-  return 0;
+  return ok ? 0 : 1;
 }

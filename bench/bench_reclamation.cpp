@@ -7,6 +7,13 @@
 // baseline. This bench quantifies what each policy costs over the paper's
 // leak-everything setting, on a 50/50 insert/delete churn that maximizes
 // retirement traffic.
+//
+// `bench_reclamation --smoke` runs the same rows with 4,000 operations each
+// (the ctest row bench_reclamation_smoke) and exits non-zero unless every
+// reference-counted configuration freed exactly what it retired: a Valois
+// count that reaches zero recycles the node at once, so any difference is
+// a leaked or double-counted node.
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -26,11 +33,14 @@ namespace {
 
 constexpr int kThreads = 4;
 constexpr std::uint64_t kOps = 120'000;
+constexpr std::uint64_t kSmokeOps = 4'000;
+
+std::uint64_t g_ops = kOps;  // --smoke lowers it
 
 lf::workload::RunConfig config() {
   lf::workload::RunConfig cfg;
   cfg.threads = kThreads;
-  cfg.ops_per_thread = kOps / kThreads;
+  cfg.ops_per_thread = g_ops / kThreads;
   cfg.key_space = 512;
   cfg.prefill = 256;
   cfg.mix = {50, 50};
@@ -39,7 +49,8 @@ lf::workload::RunConfig config() {
 }
 
 template <typename Set>
-void row(lf::harness::Table& table, const char* name, Set& set) {
+lf::workload::RunResult row(lf::harness::Table& table, const char* name,
+                            Set& set) {
   const auto cfg = config();
   lf::workload::prefill(set, cfg);
   const auto res = lf::workload::run_workload(set, cfg);
@@ -52,18 +63,37 @@ void row(lf::harness::Table& table, const char* name, Set& set) {
            3),
        std::to_string(res.steps.node_retired),
        std::to_string(res.steps.node_freed)});
+  return res;
+}
+
+// Reference counting frees at the last release, so an RC run must free
+// exactly what it retired.
+bool rc_balanced(const char* name, const lf::workload::RunResult& res) {
+  if (res.steps.node_freed == res.steps.node_retired) return true;
+  std::cout << "FAIL: " << name << " retired " << res.steps.node_retired
+            << " nodes but freed " << res.steps.node_freed << "\n";
+  return false;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      g_ops = kSmokeOps;
+    } else {
+      std::cerr << "usage: bench_reclamation [--smoke]\n";
+      return 2;
+    }
+  }
   lf::harness::print_environment(
       "E9 (Section 5)",
       "reclamation policy cost: leak-everything (the paper's setting) vs "
       "epoch-based vs hazard pointers");
 
-  lf::harness::print_section(
-      "50i/50d churn, 4 threads, 512-key space, 120k ops");
+  lf::harness::print_section("50i/50d churn, 4 threads, 512-key space, " +
+                             std::to_string(g_ops / 1000) + "k ops");
+  bool ok = true;
   lf::harness::Table table({"configuration", "Mops/s", "steps/op",
                             "retired/op", "retired", "freed (in run)"});
   {
@@ -81,12 +111,14 @@ int main() {
     row(table, "FRSkipList + Epoch", s);
   }
   {
+    constexpr const char* kName = "FRListRC + RefCounting (Valois)";
     lf::FRListRC<long, long> s;
-    row(table, "FRListRC + RefCounting (Valois)", s);
+    ok &= rc_balanced(kName, row(table, kName, s));
   }
   {
+    constexpr const char* kName = "FRSkipListRC + RefCounting";
     lf::FRSkipListRC<long, long> s;
-    row(table, "FRSkipListRC + RefCounting", s);
+    ok &= rc_balanced(kName, row(table, kName, s));
   }
   {
     lf::MichaelList<long, long, std::less<long>,
@@ -109,5 +141,5 @@ int main() {
                "(two atomic ops per operation); hazard pointers cost more\n"
                "(a protect+validate fence per traversal hop). freed < \n"
                "retired is normal — the remainder drains at teardown.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -413,8 +413,11 @@ class FRList
   // when no way validates (sync::finger_probe). A finger that was marked in
   // the meantime is recovered through its backlink chain — the exact
   // recovery a failed C&S performs. Replacement is least-frequently-hit
-  // with aging (sync::finger_save); a bracket hit refreshes its own way in
-  // place and bumps its frequency counter. Only the public entry points use
+  // with aging, stale ways first (sync::finger_save); a bracket hit
+  // refreshes its own way in place and bumps its frequency counter. Two
+  // left anchors keep the lowest recent results as fallback starts, so a
+  // key window left of every way is not walked from the head
+  // (sync::finger_anchor_save). Only the public entry points use
   // fingers; the two-phase adversary hooks (insert_locate / insert_try_once
   // / erase_begin) keep their head starts so the paper's lower-bound
   // schedules stay reproducible.
@@ -437,8 +440,13 @@ class FRList
 
   // A way's tag is the reclaimer token it was saved under; a validating
   // token proves the node unreclaimed, so its cached keys are still its.
+  // The left anchors (sync::kFingerAnchors) ride along under token
+  // policies; a publishing policy has no retained slot for them, so they
+  // are compiled out there.
   using Way = sync::FingerWay<Node, Key>;
-  struct FingerSlot : sync::FingerWays<Way> {
+  static constexpr int kAnchors =
+      FingerPol::kPublishes ? 0 : sync::kFingerAnchors;
+  struct FingerSlot : sync::FingerWays<Way, kAnchors> {
     std::uint64_t instance = 0;
   };
 
@@ -475,8 +483,10 @@ class FRList
   void save_finger(FingerSlot& slot, std::uint64_t token,
                    const std::pair<Node*, Node*>& out, int bracket) const {
     sync::finger_claim(slot, finger_id_);
-    const int w = sync::finger_save(slot, out.first, out.second, token,
-                                    bracket, chaos::Site::kListFingerReplace);
+    const int w = sync::finger_save(
+        slot, out.first, out.second, token, bracket, comp_,
+        [token](const Way& e) { return e.tag == token; },
+        chaos::Site::kListFingerReplace);
     if constexpr (FingerPol::kPublishes) {
       // Publish-while-alive: out.first was found unmarked (hence still
       // linked, hence unreclaimed) under the current guard, so way w's

@@ -215,13 +215,14 @@ class FRListRC
   //
   // A set-associative way cache (sync/finger.h): each way remembers a
   // recent search result with the bracket of keys it serves, tagged with
-  // the node's reuse stamp. The cached keys make the probe deref-free; they
-  // are trusted only after finger_resume's counted hold finds an equal
-  // stamp, which proves the same incarnation (hence the same key).
+  // the node's reuse stamp, plus FRList's two left anchors. The cached keys
+  // make the probe deref-free; they are trusted only after finger_resume's
+  // counted hold finds an equal stamp, which proves the same incarnation
+  // (hence the same key).
 
   static constexpr bool kFingerActive = Finger::kEnabled;
   using Way = sync::FingerWay<Node, Key>;
-  struct FingerSlot : sync::FingerWays<Way> {
+  struct FingerSlot : sync::FingerWays<Way, sync::kFingerAnchors> {
     std::uint64_t instance = 0;
   };
 
@@ -255,8 +256,9 @@ class FRListRC
     if constexpr (kFingerActive) {
       auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
       sync::finger_claim(slot, finger_id_);
-      sync::finger_save(slot, n, succ, n->stamp.load(std::memory_order_acquire),
-                        -1, chaos::Site::kListFingerReplace);
+      sync::finger_save(
+          slot, n, succ, n->stamp.load(std::memory_order_acquire), -1, comp_,
+          [](const Way&) { return true; }, chaos::Site::kListFingerReplace);
     }
   }
 

@@ -336,9 +336,10 @@ class FRSkipListRC
       if (lvl > kFingerLevels) return;
       auto& slot = sync::tls_finger_slot<FingerSlot>(finger_id_);
       sync::finger_claim(slot, finger_id_);
-      sync::finger_save(slot.level[lvl], pred, succ,
-                        pred->stamp.load(std::memory_order_acquire), -1,
-                        chaos::Site::kSkipFingerReplace);
+      sync::finger_save(
+          slot.level[lvl], pred, succ,
+          pred->stamp.load(std::memory_order_acquire), -1, comp_,
+          [](const Way&) { return true; }, chaos::Site::kSkipFingerReplace);
     }
   }
 

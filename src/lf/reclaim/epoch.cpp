@@ -147,8 +147,11 @@ EpochDomain::Guard::Guard(EpochDomain& domain)
   if (!outermost_) return;
   LF_CHAOS_POINT(kEpochPin);  // before publishing: no lock held here
   // A fresh beat: the blame detector treats a frozen (word, heartbeat) pair
-  // as a stalled pin, so every sign of life must move one of the two.
-  ts_->heartbeat.fetch_add(1, std::memory_order_relaxed);
+  // as a stalled pin, so every sign of life must move one of the two. Only
+  // the owner bumps it while it can run (adopt_stalled's bump requires the
+  // owner parked), so a plain load+store replaces the locked RMW.
+  ts_->heartbeat.store(ts_->heartbeat.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
   // Publish (epoch, active) and verify the global did not move past us; this
   // loop is what makes the advertised epoch trustworthy to advancers.
   for (;;) {
@@ -183,8 +186,11 @@ EpochDomain::Guard::~Guard() {
   }
   --ts_->pin_depth;
   if (!ts_->resilient.load(std::memory_order_relaxed)) {
+    // Release orders every read of the guarded region before the advancer
+    // can see the slot inactive; no store-load fence is needed on the way
+    // out (the pin's publish loop keeps its seq_cst).
     const std::uint64_t w = ts_->state->load(std::memory_order_relaxed);
-    ts_->state->store(w & ~kActiveBit, std::memory_order_seq_cst);
+    ts_->state->store(w & ~kActiveBit, std::memory_order_release);
     return;
   }
   // Armed domain: the advancer can CAS the ejected bit in at any moment, so
@@ -237,13 +243,13 @@ void EpochDomain::retire_erased(void* object, void (*deleter)(void*)) {
   }
 }
 
-std::uint64_t EpochDomain::pinned_epoch() {
-  ThreadState& ts = thread_state();
+std::uint64_t EpochDomain::pinned_epoch_slow() {
+  ThreadState& ts = thread_state_slow();
   assert(ts.pin_depth > 0 && "pinned_epoch() requires an active Guard");
   return ts.state->load(std::memory_order_relaxed) >> kEpochShift;
 }
 
-EpochDomain::ThreadState& EpochDomain::thread_state() {
+EpochDomain::ThreadState& EpochDomain::thread_state_slow() {
   struct Entry {
     std::uint64_t domain_id;
     ThreadState* ts;
@@ -251,6 +257,7 @@ EpochDomain::ThreadState& EpochDomain::thread_state() {
   struct Cache {
     std::vector<Entry> entries;
     ~Cache() {
+      front_ = Front{};  // its slot is released below
       for (const Entry& e : entries) {
         EpochDomain* domain = nullptr;
         {
@@ -264,10 +271,14 @@ EpochDomain::ThreadState& EpochDomain::thread_state() {
   };
   thread_local Cache cache;
 
+  ThreadState* ts = nullptr;
   for (const Entry& e : cache.entries)
-    if (e.domain_id == domain_id_) return *e.ts;
-  ThreadState* ts = acquire_slot();
-  cache.entries.push_back(Entry{domain_id_, ts});
+    if (e.domain_id == domain_id_) ts = e.ts;
+  if (ts == nullptr) {
+    ts = acquire_slot();
+    cache.entries.push_back(Entry{domain_id_, ts});
+  }
+  front_ = Front{domain_id_, ts, &*ts->state};
   return *ts;
 }
 

@@ -133,7 +133,13 @@ class EpochDomain {
   // e + 1, so nothing retired at epoch >= e (i.e. anything the thread
   // reached under a pin that advertised e) can be freed. Two pins that
   // advertise the SAME epoch therefore cover the same set of nodes.
-  std::uint64_t pinned_epoch();
+  // Inline: under a guard the thread's front cache names this domain, so
+  // the token costs one TLS compare and one load, not a slot lookup.
+  std::uint64_t pinned_epoch() {
+    if (front_.domain_id == domain_id_)
+      return front_.state->load(std::memory_order_relaxed) >> kEpochShift;
+    return pinned_epoch_slow();
+  }
   std::uint64_t retired_count() const noexcept {
     return retired_live_->load(std::memory_order_relaxed);
   }
@@ -215,8 +221,25 @@ class EpochDomain {
   static constexpr std::uint64_t kEjectedBit = 2;
   static constexpr unsigned kEpochShift = 2;
 
+  // The calling thread's slot here; a one-entry front cache (front_)
+  // serves repeated lookups of the same domain.
+  struct Front {
+    std::uint64_t domain_id;  // 0 when empty: domain ids start at 1
+    ThreadState* ts;
+    std::atomic<std::uint64_t>* state;  // ts's state word
+  };
+  // Trivially destructible and constant-initialized, so reading it is a
+  // plain TLS access with no thread_local init wrapper; cleared when the
+  // thread's slot cache is destroyed (epoch.cpp).
+  static inline thread_local constinit Front front_{};
+
   void retire_erased(void* object, void (*deleter)(void*));
-  ThreadState& thread_state();
+  ThreadState& thread_state() {
+    if (front_.domain_id == domain_id_) return *front_.ts;
+    return thread_state_slow();
+  }
+  ThreadState& thread_state_slow();
+  std::uint64_t pinned_epoch_slow();
   ThreadState* acquire_slot();
   void release_slot(ThreadState* ts);  // thread exit: orphan limbo lists
   bool try_advance();

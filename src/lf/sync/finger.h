@@ -13,7 +13,9 @@
 // finger thrashes when the hot keys are popular but far apart, while k
 // ways hold k disjoint hot brackets simultaneously — provided replacement
 // is frequency-aware, since the zipf tail's miss flow laps any
-// recency-only policy before the hot keys recur.
+// recency-only policy before the hot keys recur. The lists' way sets also
+// carry two left anchors: fallback starts for keys left of every way
+// (finger_anchor_save).
 //
 // The paper's machinery makes this safe almost for free: a stale hint is
 // self-identifying (its mark bit is set), and a marked node carries a
@@ -188,20 +190,20 @@ inline void finger_freq_bump(std::uint8_t& freq) noexcept {
 }
 
 // Victim selection over a way array: least-frequently-hit with aging
-// (GCLOCK). Prefers an empty way (`is_empty(way)`); otherwise picks the
-// way with the smallest `freq` counter, scanning from `hand` so ties
-// rotate. New ways are inserted with freq == 0 — the next replacement
-// evicts them unless they earn a hit first — which is what lets a skewed
-// key stream keep its hot set resident: pure recency (plain clock) cannot,
-// because under a zipf tail the hand circles faster than even the hottest
-// key recurs, while here cold one-shot entries are recycled through a
-// de-facto probation way and the accumulated counters of the hot ways are
-// never disturbed by miss traffic.
-template <typename Way, typename EmptyFn>
+// (GCLOCK). Prefers a free way (`is_free(way)`: empty or stale);
+// otherwise picks the way with the smallest `freq` counter, scanning from
+// `hand` so ties rotate. New ways are inserted with freq == 0 — the next
+// replacement evicts them unless they earn a hit first — which is what
+// lets a skewed key stream keep its hot set resident: pure recency (plain
+// clock) cannot, because under a zipf tail the hand circles faster than
+// even the hottest key recurs, while here cold one-shot entries are
+// recycled through a de-facto probation way and the accumulated counters
+// of the hot ways are never disturbed by miss traffic.
+template <typename Way, typename FreeFn>
 int finger_victim_pick(Way* ways, int n, unsigned& hand, unsigned& ticks,
-                       EmptyFn&& is_empty) noexcept {
+                       FreeFn&& is_free) noexcept {
   for (int i = 0; i < n; ++i)
-    if (is_empty(ways[i])) return i;
+    if (is_free(ways[i])) return i;
   if (++ticks >= kFingerAgePeriod) {
     ticks = 0;
     for (int i = 0; i < n; ++i) ways[i].freq >>= 1;
@@ -232,13 +234,31 @@ struct FingerWay {
   std::uint8_t freq = 0;  // hit counter (aged by finger_victim_pick)
 };
 
+// Left anchors of a list's way set. A list search only walks right, so a
+// way serves only keys at or above its own; when a key stream moves to a
+// window left of every LFU way (the hot ways stay on the old window, the
+// new one lives in the single probation way), every search below the
+// probation way's key restarts at the head. An anchor holds the LOWEST n1
+// saved in one period of kFingerAnchorPeriod saves: entry [kFingerCacheWays]
+// for the current period, [kFingerCacheWays + 1] for the previous one, so
+// once a window's low edge has been seen, every key in the window has a
+// start at most one window-width away. Anchors are fallback starts only
+// (never a probe's bracket) and are written only by the sliding-minimum
+// rule (finger_anchor_save), never refreshed like a way. Skip-list levels
+// take none: a miss there costs O(log n) hops, not Θ(n).
+inline constexpr int kFingerAnchors = 2;
+inline constexpr unsigned kFingerAnchorPeriod = 32;
+
 // The ways of one cache (one per level for a skip list) with their
-// replacement state.
-template <typename Way>
+// replacement state, followed by `Anchors` left anchors (0 or
+// kFingerAnchors).
+template <typename Way, int Anchors = 0>
 struct FingerWays {
-  Way way[kFingerCacheWays] = {};
-  unsigned hand = 0;   // tie rotation for victim selection
-  unsigned ticks = 0;  // replacements since the last aging pass
+  static_assert(Anchors == 0 || Anchors == kFingerAnchors);
+  Way way[kFingerCacheWays + Anchors] = {};
+  unsigned hand = 0;          // tie rotation for victim selection
+  unsigned ticks = 0;         // replacements since the last aging pass
+  unsigned anchor_saves = 0;  // saves in the current anchor period
 };
 
 // Claims a thread's direct-mapped slot for instance `id`: ways left by
@@ -252,26 +272,29 @@ void finger_claim(Slot& slot, std::uint64_t id) noexcept {
 }
 
 // Deref-free probe over the cached brackets for key k. Returns {bracket,
-// fallback}, way indices or -1: `bracket` is the way whose [key, succ_key]
-// contains k (the tightest such way, by low key); `fallback` the way with
-// the largest low key still on the correct side of k. A way qualifies when
-// its low key is < k (Closed: <= k; the start a search may resume from)
-// and `usable(way)` holds. Every check reads only the cached fields.
-template <bool Closed, typename Way, typename Key, typename Compare,
-          typename Usable>
-std::pair<int, int> finger_probe(const FingerWays<Way>& set, const Key& k,
-                                 const Compare& comp, Usable&& usable) {
+// fallback}, entry indices or -1: `bracket` is the way whose [key,
+// succ_key] contains k (the tightest such way, by low key); `fallback` the
+// way or anchor with the largest low key still on the correct side of k
+// (ways win ties). An entry qualifies when its low key is < k (Closed:
+// <= k; the start a search may resume from) and `usable(entry)` holds.
+// Every check reads only the cached fields.
+template <bool Closed, typename Way, int Anchors, typename Key,
+          typename Compare, typename Usable>
+std::pair<int, int> finger_probe(const FingerWays<Way, Anchors>& set,
+                                 const Key& k, const Compare& comp,
+                                 Usable&& usable) {
   auto tighter = [&](int best, const Way& e) {
     return best < 0 || (!e.is_head && (set.way[best].is_head ||
                                        comp(set.way[best].key, e.key)));
   };
   int bracket = -1, fallback = -1;
-  for (int i = 0; i < kFingerCacheWays; ++i) {
+  for (int i = 0; i < kFingerCacheWays + Anchors; ++i) {
     const Way& e = set.way[i];
     if (e.node == nullptr || !usable(e)) continue;
     if (!(e.is_head || (Closed ? !comp(k, e.key) : comp(e.key, k))))
       continue;  // wrong side of k
-    if (e.succ_tail || !comp(e.succ_key, k)) {  // k <= succ_key
+    if (i < kFingerCacheWays &&
+        (e.succ_tail || !comp(e.succ_key, k))) {  // k <= succ_key
       if (tighter(bracket, e)) bracket = i;
     } else if (tighter(fallback, e)) {
       fallback = i;
@@ -280,17 +303,43 @@ std::pair<int, int> finger_probe(const FingerWays<Way>& set, const Key& k,
   return {bracket, fallback};
 }
 
+// Sliding-minimum update of the anchors with `saved`, the way a save just
+// wrote. The current anchor takes it when it is empty, stale (`usable`
+// fails) or higher; after kFingerAnchorPeriod saves the current anchor
+// becomes the previous one and the next period starts empty. The head is
+// never anchored: it is every miss's start anyway, and as the lowest entry
+// it would block the window's real low edge for a whole period.
+template <typename Way, typename Compare, typename Usable>
+void finger_anchor_save(FingerWays<Way, kFingerAnchors>& set,
+                        const Way& saved, const Compare& comp,
+                        Usable&& usable) {
+  Way& cur = set.way[kFingerCacheWays];
+  if (!saved.is_head &&
+      (cur.node == nullptr || !usable(cur) || comp(saved.key, cur.key)))
+    cur = saved;
+  if (++set.anchor_saves == kFingerAnchorPeriod) {
+    set.anchor_saves = 0;
+    set.way[kFingerCacheWays + 1] = cur;
+    cur.node = nullptr;
+  }
+}
+
 // Saves a search result (n, its successor succ) with validity tag `tag`.
 // A way already caching n is refreshed in place, then the way `prefer`
 // (the bracket way that served the search, whose new bracket is a
-// tightened subrange of its old one; -1 for none); otherwise an LFU
-// victim is replaced. A refreshed way keeps earning frequency; a brand-new
-// way starts at zero — the next replacement's prime victim unless it earns
-// a hit first — so one-shot cold keys recycle through a de-facto probation
-// way instead of eroding the retained hot set. Returns the way written.
-template <typename Way, typename Node>
-int finger_save(FingerWays<Way>& set, Node* n, Node* succ, std::uint64_t tag,
-                int prefer, chaos::Site replace_site) {
+// tightened subrange of its old one; -1 for none); otherwise a way that
+// is empty or stale (`usable` fails: its tag no longer validates) is
+// replaced first, and only then an LFU victim. A refreshed way keeps
+// earning frequency; a brand-new way starts at zero — the next
+// replacement's prime victim unless it earns a hit first — so one-shot
+// cold keys recycle through a de-facto probation way instead of eroding
+// the retained hot set. The anchors, if any, then see the saved way
+// (finger_anchor_save). Returns the way written.
+template <typename Way, int Anchors, typename Node, typename Compare,
+          typename Usable>
+int finger_save(FingerWays<Way, Anchors>& set, Node* n, Node* succ,
+                std::uint64_t tag, int prefer, const Compare& comp,
+                Usable&& usable, chaos::Site replace_site) {
   int w = -1;
   for (int i = 0; i < kFingerCacheWays; ++i)
     if (set.way[i].node == n) { w = i; break; }
@@ -298,8 +347,9 @@ int finger_save(FingerWays<Way>& set, Node* n, Node* succ, std::uint64_t tag,
   const bool refresh = w >= 0;
   if (!refresh) {
     chaos::point_at(replace_site);
-    w = finger_victim_pick(set.way, kFingerCacheWays, set.hand, set.ticks,
-                           [](const Way& e) { return e.node == nullptr; });
+    w = finger_victim_pick(
+        set.way, kFingerCacheWays, set.hand, set.ticks,
+        [&](const Way& e) { return e.node == nullptr || !usable(e); });
   }
   Way& e = set.way[w];
   e.tag = tag;
@@ -310,6 +360,7 @@ int finger_save(FingerWays<Way>& set, Node* n, Node* succ, std::uint64_t tag,
   if (!e.succ_tail) e.succ_key = succ->key;
   if (refresh) finger_freq_bump(e.freq);
   else e.freq = 0;
+  if constexpr (Anchors > 0) finger_anchor_save(set, e, comp, usable);
   return w;
 }
 

@@ -117,7 +117,9 @@ TEST(Finger, MultiWayHotSetAllFourKeysStayFree) {
 // Replacement policy: a frequently-hit way must survive a stream of
 // one-shot cold keys. The colds DESCEND from the top of the key space
 // (each cached cold bracket then sits on the wrong side of the next cold
-// key), so every cold find is a guaranteed probe miss that forces a
+// key), so no cold find is served by a bracket: each starts at the head
+// or, while the prefill's low results are still anchored, at a left anchor
+// (sync::finger_anchor_save), and either way its save forces a
 // replacement — three per round, cycling the aging period several times
 // over the run. The hot key sits above the whole cold range: its find must
 // stay a ZERO-STEP hit every single round, which is possible only if the
@@ -141,17 +143,111 @@ TEST(Finger, HotWaySurvivesColdMissStream) {
     EXPECT_EQ(delta.finger_hit, 1u) << "round " << round;
     EXPECT_EQ(delta.curr_update, 0u) << "round " << round;
     // Three distinct cold keys, never repeated, all below the hot key and
-    // descending: deterministic misses, head-started searches.
+    // descending: every cached way is on their wrong side, so each is a
+    // head start or an anchor fallback.
     for (int j = 0; j < 3; ++j) {
       const long cold = 600 - 2 * (3 * round + j);
       const auto b = aggregate();
       ASSERT_TRUE(list.find(cold).has_value());
       const auto d = aggregate() - b;
-      EXPECT_EQ(d.finger_miss, 1u) << "cold " << cold;
-      EXPECT_EQ(d.finger_hit, 0u) << "cold " << cold;
+      EXPECT_EQ(d.finger_miss + d.finger_hit, 1u) << "cold " << cold;
     }
   }
   EXPECT_TRUE(list.validate().ok);
+}
+
+// ---- Left anchors: a window left of every way -----------------------------
+
+// The list-local pattern: a hot set pins three LFU ways (the prefill's
+// ascending inserts already saturated the way now serving 1023), then the
+// key stream moves to a 64-key window far to their left. New ways there
+// start at frequency zero, so the one probation way serves the window, and
+// any key below it used to restart at the head. Once the window's low edge has
+// been searched, the left anchor (the lowest result of the current or
+// previous 32-save period) is a valid start for every key in the window:
+// no head starts, and no search walks further than the window's width.
+template <typename List>
+void expect_window_served_by_anchor(List& list) {
+  for (long k = 0; k < 1024; ++k) ASSERT_TRUE(list.insert(k, k));
+  constexpr long kHot[] = {900, 960, 1023};
+  for (int round = 0; round < 16; ++round)
+    for (long k : kHot) ASSERT_TRUE(list.find(k).has_value());
+  constexpr long kLow = 256, kWidth = 64;
+  const auto edge = aggregate();
+  ASSERT_TRUE(list.find(kLow).has_value());  // the low edge: a head start
+  EXPECT_EQ((aggregate() - edge).finger_miss, 1u);
+  for (long i = 1; i < 32; ++i) {
+    const long k = kLow + (i * 37) % kWidth;  // scattered over the window
+    const auto b = aggregate();
+    ASSERT_TRUE(list.find(k).has_value());
+    const auto d = aggregate() - b;
+    EXPECT_EQ(d.finger_miss, 0u) << "key " << k;
+    EXPECT_LT(d.curr_update, static_cast<std::uint64_t>(kWidth))
+        << "key " << k;
+  }
+  // The hot set still owns its ways.
+  const auto b = aggregate();
+  for (long k : kHot) ASSERT_TRUE(list.find(k).has_value());
+  EXPECT_EQ((aggregate() - b).curr_update, 0u);
+}
+
+TEST(Finger, WindowBelowHotSetServedByAnchorFRList) {
+  lf::FRList<long, long> list;
+  expect_window_served_by_anchor(list);
+}
+
+TEST(Finger, WindowBelowHotSetServedByAnchorFRListRC) {
+  lf::FRListRC<long, long> list;
+  expect_window_served_by_anchor(list);
+}
+
+// Stale ways go first: after an epoch advance every cached token is dead,
+// yet the dead hot ways keep their high frequencies. A save must replace a
+// stale way before it evicts a live one — here the live way the previous
+// save wrote (frequency zero, the LFU victim if staleness were ignored).
+TEST(Finger, SaveReplacesStaleWayBeforeLiveOne) {
+  EpochDomain domain;
+  lf::FRList<long, long> list{lf::reclaim::EpochReclaimer(domain)};
+  for (long k = 0; k < 80; ++k) ASSERT_TRUE(list.insert(k, k));
+  constexpr long kHot[] = {10, 20, 30, 40};
+  for (int round = 0; round < 4; ++round)
+    for (long k : kHot) ASSERT_TRUE(list.find(k).has_value());
+  domain.drain();  // no thread pinned: the epoch advances
+  // Both finds miss (every way is stale, and 50 is left of 60's way).
+  auto b = aggregate();
+  ASSERT_TRUE(list.find(60).has_value());
+  ASSERT_TRUE(list.find(50).has_value());
+  EXPECT_EQ((aggregate() - b).finger_miss, 2u);
+  // 60's way survived 50's save: a zero-step bracket hit.
+  b = aggregate();
+  ASSERT_TRUE(list.find(60).has_value());
+  const auto d = aggregate() - b;
+  EXPECT_EQ(d.finger_hit, 1u);
+  EXPECT_EQ(d.curr_update, 0u);
+}
+
+// Publishing policies have no retained hazard slot for an anchor, so the
+// anchors are compiled out: the key left of every way that an epoch list
+// serves from its anchor (node 10, the lowest insert result) is a head
+// start under hazard pointers.
+template <typename List>
+lf::stats::Snapshot find_left_of_every_way(List& list) {
+  for (long k : {10, 20, 30, 40}) EXPECT_TRUE(list.insert(k, k));
+  EXPECT_TRUE(list.find(40).has_value());  // the one way -> [40, tail]
+  const auto b = aggregate();
+  EXPECT_FALSE(list.find(15).has_value());
+  return aggregate() - b;
+}
+
+TEST(Finger, HazardListProbesNoAnchor) {
+  HPList hazard;
+  const auto h = find_left_of_every_way(hazard);
+  EXPECT_EQ(h.finger_miss, 1u);
+  EXPECT_EQ(h.finger_hit, 0u);
+  lf::FRList<long, long> epoch;  // the same script does reach an anchor
+  const auto e = find_left_of_every_way(epoch);
+  EXPECT_EQ(e.finger_hit, 1u);
+  EXPECT_EQ(e.finger_miss, 0u);
 }
 
 // ---- Static off: FingerOff means zero finger traffic ----------------------
@@ -248,10 +344,12 @@ TEST(Finger, ReclaimedFingerFallsBackToHead) {
 // its memory reused by an unrelated insert. The stale finger re-acquires
 // the node, sees a bumped reuse stamp (a different incarnation), and must
 // reject it.
+// Descending inserts all start at the head, which is never anchored, so
+// the left anchor names node 20 as well and must be rejected the same way.
 TEST(Finger, RecycledFingerRejectedByReuseStamp) {
   lf::FRListRC<long, long> list;
-  for (long k : {10, 20, 30}) ASSERT_TRUE(list.insert(k, k));
-  ASSERT_TRUE(list.find(20).has_value());  // finger -> node 20
+  for (long k : {30, 20, 10}) ASSERT_TRUE(list.insert(k, k));
+  ASSERT_TRUE(list.find(20).has_value());  // finger and anchor -> node 20
   std::thread helper([&] {
     ASSERT_TRUE(list.erase(20));     // node 20 goes to the free list
     ASSERT_TRUE(list.insert(99, 99));  // LIFO free list: reuses its memory
@@ -267,11 +365,12 @@ TEST(Finger, RecycledFingerRejectedByReuseStamp) {
 
 // Per-way stamp validation: recycling ONE cached node must kill only that
 // way. The other ways' nodes were never recycled, so their stamps still
-// match and they keep serving zero-step hits.
+// match and they keep serving zero-step hits. (Descending inserts leave
+// node 20 as the lowest anchored result, so no anchor outlives way A.)
 TEST(Finger, RecycledWayRejectedWhileOtherWaysSurvive) {
   lf::FRListRC<long, long> list;
-  for (long k : {10, 20, 30, 40, 50}) ASSERT_TRUE(list.insert(k, k));
-  ASSERT_TRUE(list.find(20).has_value());  // way A -> node 20
+  for (long k : {50, 40, 30, 20, 10}) ASSERT_TRUE(list.insert(k, k));
+  ASSERT_TRUE(list.find(20).has_value());  // way A and anchor -> node 20
   ASSERT_TRUE(list.find(40).has_value());  // way B -> node 40
   std::thread helper([&] {
     ASSERT_TRUE(list.erase(20));       // node 20 goes to the free list

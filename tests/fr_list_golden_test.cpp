@@ -157,7 +157,7 @@ TEST(FRListGolden, FingerOffStepTotals) {
 
 TEST(FRListGolden, FingerOnEpochStepTotals) {
   run_frlist<lf::sync::FingerOn>(
-      {13838, 0, 565, 562, 265, 99, 99, 99, 10, 100, 100, 1099, 93, 99},
+      {11257, 0, 565, 562, 265, 99, 99, 99, 14, 100, 100, 1179, 13, 99},
       kShape);
 }
 
@@ -167,7 +167,7 @@ TEST(FRListRCGolden, FingerOnStepTotals) {
   const GoldenShape got = run_dictionary_script(l);
   const auto d = lf::stats::tls().read() - before;
   expect_steps(steps_of(d),
-               {26345, 0, 548, 548, 260, 96, 96, 96, 0, 96, 96, 1126, 59, 96});
+               {24275, 0, 548, 548, 260, 96, 96, 96, 0, 96, 96, 1176, 9, 96});
   // Every unlinked node is recycled at once: retired == freed.
   EXPECT_EQ(d.node_freed, d.node_retired);
   EXPECT_TRUE(l.validate_counts());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -312,6 +313,16 @@ TEST(HazardDomainStress, ProtectValidateNeverReadsFreed) {
   }
 
   std::thread writer([&] {
+    // Retire only once a reader is in its loop: on a loaded host all 3000
+    // retirements can otherwise finish before any reader is scheduled, and
+    // the run checks nothing (reads stays 0). Bounded, so readers that never
+    // manage a read fail the EXPECT below instead of hanging the test.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (reads.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
     for (int i = 0; i < 3000; ++i) {
       auto* fresh = new Boxed;
       Boxed* old = shared.exchange(fresh, std::memory_order_acq_rel);
