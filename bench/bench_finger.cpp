@@ -1,11 +1,11 @@
 // E13 — finger search: the thread-local hint layer (DESIGN.md §10) against
 // head-started searches, on the workloads it was built for.
 //
-// Matrix: FRSkipList under the epoch and the hazard reclaimer, whose
-// searches always descend from the head (its finger layer lost wall clock
-// on every workload and was removed; these rows keep their `finger: off`
-// labels so tools/bench_trend.py keeps gating them), and {finger on, finger
-// off} for the reference-counted FRSkipListRC and for FRList under epoch
+// Matrix: FRSkipList under epoch reclamation, whose searches always descend
+// from the head (its finger layer lost wall clock on every workload and was
+// removed; these rows keep their `finger: off` labels so
+// tools/bench_trend.py keeps gating them), and {finger on, finger off} for
+// the reference-counted FRSkipListRC and for FRList under epoch
 // reclamation, at 1, 8 and 16 threads, on three key streams:
 //
 //   * zipf-0.99   — Zipfian popularity with SCRAMBLED positions (the raw
@@ -48,7 +48,6 @@
 #include "lf/harness/table.h"
 #include "lf/instrument/counters.h"
 #include "lf/reclaim/epoch.h"
-#include "lf/reclaim/hazard.h"
 #include "lf/sync/finger.h"
 #include "lf/workload/runner.h"
 
@@ -57,8 +56,7 @@ namespace {
 using lf::harness::Table;
 namespace wl = lf::workload;
 
-template <typename Reclaimer>
-using Skip = lf::FRSkipList<long, long, std::less<long>, Reclaimer>;
+using Skip = lf::FRSkipList<long, long>;
 template <typename Finger>
 using SkipRC = lf::FRSkipListRC<long, long, std::less<long>, 24, Finger>;
 template <typename Finger>
@@ -90,7 +88,7 @@ const Workload kWorkloads[] = {
 
 struct Row {
   std::string layout;
-  std::string reclaimer;  // "epoch" | "hazard" (publish-then-revalidate)
+  std::string reclaimer;  // "epoch" | "rc"
   bool finger = false;
   std::string workload;
   int threads = 0;
@@ -136,7 +134,6 @@ Row run_one(const char* layout, const char* reclaimer, bool finger,
   r.skip_per_op = static_cast<double>(res.steps.finger_skip) /
                   static_cast<double>(res.total_ops);
   lf::reclaim::EpochDomain::global().drain();
-  lf::reclaim::HazardDomain::global().scan();
   return r;
 }
 
@@ -161,12 +158,9 @@ void each_config(Fn&& fn) {
     for (int threads : {1, 8, 16}) fn(w, threads);
 }
 
-template <typename Reclaimer>
-void run_skiplist(const char* reclaimer_name, std::vector<Row>& rows) {
+void run_skiplist(std::vector<Row>& rows) {
   each_config([&](const Workload& w, int threads) {
-    record(rows,
-           run_one<Skip<Reclaimer>>("tower", reclaimer_name, false, w,
-                                    threads));
+    record(rows, run_one<Skip>("tower", "epoch", false, w, threads));
   });
 }
 
@@ -245,8 +239,7 @@ int main(int argc, char** argv) {
       "workloads should drop steps/op sharply, uniform must not regress");
 
   std::vector<Row> rows;
-  run_skiplist<lf::reclaim::EpochReclaimer>("epoch", rows);
-  run_skiplist<lf::reclaim::HazardReclaimer>("hazard", rows);
+  run_skiplist(rows);
   run_on_off<SkipRC>("arena", "rc", rows);
   run_on_off<List>("list", "epoch", rows);
 
@@ -289,9 +282,9 @@ int main(int argc, char** argv) {
   std::cout << "Expected shape: zipf-0.99 and repeat-range reductions >= 20%\n"
                "at every thread count; uniform within a few percent of zero\n"
                "(validation cost only). The tower rows are FRSkipList's\n"
-               "head descents under epoch and hazard reclamation. 8 and 16\n"
-               "threads oversubscribe the cores, so their wall clock\n"
-               "mostly measures scheduling.\n\n";
+               "head descents under epoch reclamation. 8 and 16 threads\n"
+               "oversubscribe the cores, so their wall clock mostly\n"
+               "measures scheduling.\n\n";
 
   if (!g_smoke) std::cout << "wrote BENCH_finger.json\n";
   return 0;

@@ -23,8 +23,14 @@
 // Output: table plus machine-readable BENCH_fault_recovery.json. The
 // retire_backlog / quarantine_depth fields are reported (never gated) by
 // tools/bench_trend.py — their magnitude tracks runner speed.
+//
+// `bench_stall_recovery --smoke` runs the 0 and 20 ms stalls only (the
+// ctest row bench_stall_recovery_smoke) and writes no JSON. Both modes exit
+// non-zero unless every run's quarantine stayed under its soft cap and the
+// quarantine and retire backlog drained to zero afterwards.
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -62,6 +68,7 @@ struct Row {
                                  // descheduled while pinned; they re-pin and
                                  // settle, see DESIGN.md §11)
   double drain_ms;               // post-ack drain of backlog + quarantine
+  bool drained;                  // backlog and quarantine reached zero
 };
 
 Row run_one(int stall_ms) {
@@ -134,7 +141,9 @@ Row run_one(int stall_ms) {
   row.drain_ms = ms_between(d0, Clock::now());
   row.ejections =
       static_cast<double>((lf::stats::aggregate() - before).epoch_eject);
-  if (domain.quarantine_depth() != 0 || domain.retired_count() != 0) {
+  row.drained =
+      domain.quarantine_depth() == 0 && domain.retired_count() == 0;
+  if (!row.drained) {
     std::cerr << "E14: backlog failed to drain (quarantine="
               << domain.quarantine_depth() << ", retired="
               << domain.retired_count() << ")\n";
@@ -174,14 +183,34 @@ void emit_json(const std::vector<Row>& rows) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      std::cerr << "usage: bench_stall_recovery [--smoke]\n";
+      return 2;
+    }
+  }
   lf::harness::print_environment(
       "E14 (stalled-reader recovery)",
       "with neutralization armed, epoch recovery time is bounded by "
       "advancer activity, not by how long the stalled reader sleeps");
 
   std::vector<Row> rows;
-  for (int stall_ms : {0, 20, 80, 320}) rows.push_back(run_one(stall_ms));
+  const std::vector<int> stalls =
+      smoke ? std::vector<int>{0, 20} : std::vector<int>{0, 20, 80, 320};
+  bool ok = true;
+  for (int stall_ms : stalls) {
+    rows.push_back(run_one(stall_ms));
+    const Row& r = rows.back();
+    if (r.max_quarantine > kSoftCap) {
+      std::cerr << "E14: quarantine peaked at " << r.max_quarantine
+                << ", over its soft cap " << kSoftCap << "\n";
+    }
+    ok &= r.drained && r.max_quarantine <= kSoftCap;
+  }
 
   lf::harness::print_section("recovery vs stall duration");
   lf::harness::Table t({"stall ms", "recovery ms", "max backlog",
@@ -206,6 +235,6 @@ int main() {
          "workers descheduled while pinned (oversubscribed runners);\n"
          "those are benign — the worker re-pins and settles.\n";
 
-  emit_json(rows);
-  return 0;
+  if (!smoke) emit_json(rows);
+  return ok ? 0 : 1;
 }

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "lf/chaos/chaos.h"
@@ -99,7 +98,7 @@ class RestartSkipList : private core::KeyOrder<Compare> {
       stats::tls().op_insert.inc();
       return false;  // duplicate detected before allocating: zero allocs
     }
-    const int h = tls_rng().tower_height(MaxLevel);
+    const int h = tower_rng().tower_height(MaxLevel);
     Node* node = new Node(Node::Kind::kInterior, h, k, std::move(value));
     for (;;) {
       for (int lv = 0; lv < h; ++lv)
@@ -233,13 +232,6 @@ class RestartSkipList : private core::KeyOrder<Compare> {
  private:
   using core::KeyOrder<Compare>::node_lt;
   using core::KeyOrder<Compare>::node_eq;
-
-  static Xoshiro256& tls_rng() {
-    thread_local Xoshiro256 rng(
-        0xd1b54a32d192ed03ULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
-    return rng;
-  }
 
   void register_allocation(Node* node) const {
     Node* old = alloc_head_.load(std::memory_order_relaxed);

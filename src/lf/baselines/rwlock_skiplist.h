@@ -15,7 +15,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <thread>
 #include <utility>
 
 #include "lf/instrument/counters.h"
@@ -54,7 +53,7 @@ class RWLockSkipList {
     Node* curr = locate(k, preds);
     bool inserted = false;
     if (curr == nullptr || comp_(k, curr->key)) {
-      const int h = tls_rng().tower_height(MaxLevel);
+      const int h = tower_rng().tower_height(MaxLevel);
       Node* node = new Node(h, k, std::move(value));
       for (int lv = 0; lv < h; ++lv) {
         node->next[lv] = next_of(preds[lv], lv);
@@ -126,13 +125,6 @@ class RWLockSkipList {
     Node(int h, Key key_arg, T value_arg)
         : height(h), key(std::move(key_arg)), value(std::move(value_arg)) {}
   };
-
-  static Xoshiro256& tls_rng() {
-    thread_local Xoshiro256 rng(
-        0x94d049bb133111ebULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
-    return rng;
-  }
 
   Node* next_of(Node* n, int lv) const { return n->next[lv]; }
   void set_next(Node* n, int lv, Node* to) const { n->next[lv] = to; }

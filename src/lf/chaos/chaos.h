@@ -65,7 +65,6 @@ enum class Site : int {
                         // about to be recovered/used (thread holds it)
   kListFingerFallback,  // FRList::finger_start / FRListRC::finger_entry: no
                         // usable hint, search starts at head
-  kListFingerPublish,   // FRList::save_finger: about to publish the way set
   kListFingerReplace,   // sync::finger_save: LFU-aging replacement picking a
                         // victim way (no in-place refresh matched)
   // FRSkipList and FRSkipListRC: the same sites per level (SkipSites); the
@@ -100,10 +99,6 @@ enum class Site : int {
                   // re-pin (entry, before the registry lock)
   kHazardRetire,  // HazardDomain::retire_erased
   kHazardScan,    // HazardDomain::scan_record entry
-  kHazardFingerReacquire,  // HazardDomain::reacquire_finger entry (reuse of
-                           // a retained finger, before the slot-match check)
-  kHazardFingerHop,        // finger recovery walk: before publishing one
-                           // backlink hop into the hop slot
   // Segment pool (mem/pool.*)
   kPoolAlloc,    // pool_allocate entry
   kPoolSegment,  // segment carve from the global allocator

@@ -153,14 +153,6 @@ class FRList
   // concurrent container's destructor. Frees all nodes still linked;
   // physically deleted nodes were already handed to the reclaimer.
   ~FRList() {
-    if constexpr (kFingerActive && FingerPol::kPublishes) {
-      // Other threads' retained hazard slots may still point into this
-      // list, and a concurrent scan would WALK them (dereferencing nodes
-      // we are about to free directly). Null every slot carrying this
-      // instance's tag first; the call excludes in-flight chain walks, so
-      // afterwards no scanner can touch our nodes.
-      reclaimer_.finger_invalidate(finger_id_);
-    }
     Node* n = head_;
     while (n != nullptr) {
       Node* next = n->succ.load().right;
@@ -403,9 +395,9 @@ class FRList
   // ---- Finger (search hint) layer — see sync/finger.h and DESIGN.md §10 --
   //
   // Each thread remembers, per list instance, a small set-associative cache
-  // of recent search results: kWays ways, each holding the n1 node a search
-  // returned together with the bracket of keys it serves ([n1.key,
-  // n2.key]) and the reclaimer's validity token. The next top-level search
+  // of recent search results: sync::kFingerCacheWays ways, each holding the
+  // n1 node a search returned together with the bracket of keys it serves
+  // ([n1.key, n2.key]) and the reclaimer's validity token. The next top-level search
   // probes for the way whose bracket contains the new key — a hot-set
   // repeat lands in its own way even when the hot keys are positionally
   // scattered — falling back to the way with the closest key still left of
@@ -421,45 +413,19 @@ class FRList
   // fingers; the two-phase adversary hooks (insert_locate / insert_try_once
   // / erase_begin) keep their head starts so the paper's lower-bound
   // schedules stay reproducible.
-  //
-  // Publishing policies (FingerPol::kPublishes — hazard pointers) replace
-  // the token proof with publish-then-revalidate: the save additionally
-  // publishes every way into the thread's retained hazard slots (way i in
-  // entry i; the refreshed way republishes a provably live node, the others
-  // are kept only if still continuously protected), reuse re-acquires the
-  // probed way by slot match before the first dereference, and every
-  // backlink hop of a recovery walk is published into the hop slot before
-  // it is followed (reclaim/hazard.h, DESIGN.md §10).
 
   using FingerPol = sync::FingerPolicy<Reclaimer>;
   static constexpr bool kFingerActive =
       Finger::kEnabled && FingerPol::kSupported;
-  static constexpr int kWays = sync::kFingerCacheWays;
-  static_assert(!FingerPol::kPublishes || kWays <= FingerPol::kPublishedWays,
-                "every list cache way needs its own retained hazard entry");
 
   // A way's tag is the reclaimer token it was saved under; a validating
   // token proves the node unreclaimed, so its cached keys are still its.
-  // The left anchors (sync::kFingerAnchors) ride along under token
-  // policies; a publishing policy has no retained slot for them, so they
-  // are compiled out there.
+  // The left anchors (sync::kFingerAnchors) ride along under the same
+  // tokens.
   using Way = sync::FingerWay<Node, Key>;
-  static constexpr int kAnchors =
-      FingerPol::kPublishes ? 0 : sync::kFingerAnchors;
-  struct FingerSlot : sync::FingerWays<Way, kAnchors> {
+  struct FingerSlot : sync::FingerWays<Way, sync::kFingerAnchors> {
     std::uint64_t instance = 0;
   };
-
-  // Type-erased backlink-chain step for HazardDomain's chain-protecting
-  // scan: from a published finger, scanners protect every node the owning
-  // thread's recovery walk could dereference. Returns null at the first
-  // unmarked node (the chain's end; unmarked nodes are never unlinked, so
-  // they are alive regardless).
-  static void* finger_chain_walker(void* p) {
-    Node* n = static_cast<Node*>(p);
-    if (!n->succ.load().mark) return nullptr;
-    return n->backlink.load(std::memory_order_acquire);
-  }
 
   // The head-or-finger search every public operation starts with.
   template <bool Closed>
@@ -483,38 +449,10 @@ class FRList
   void save_finger(FingerSlot& slot, std::uint64_t token,
                    const std::pair<Node*, Node*>& out, int bracket) const {
     sync::finger_claim(slot, finger_id_);
-    const int w = sync::finger_save(
+    sync::finger_save(
         slot, out.first, out.second, token, bracket, comp_,
         [token](const Way& e) { return e.tag == token; },
         chaos::Site::kListFingerReplace);
-    if constexpr (FingerPol::kPublishes) {
-      // Publish-while-alive: out.first was found unmarked (hence still
-      // linked, hence unreclaimed) under the current guard, so way w's
-      // publication starts from a provably live node — the invariant the
-      // scan-side chain-protection argument rests on. (The head sentinel
-      // is published too; it is never retired, and uniformity is simpler.)
-      // The OTHER ways were not revalidated by this operation, so each is
-      // kept only if its retained slot still holds it — continuous
-      // protection — and dropped (entry nulled, way killed) otherwise;
-      // republishing the same pointer into the same slot keeps the
-      // protection gapless.
-      LF_CHAOS_POINT(kListFingerPublish);
-      void* nodes[kWays];
-      for (int i = 0; i < kWays; ++i) {
-        auto& wi = slot.way[i];
-        if (wi.node == nullptr) {
-          nodes[i] = nullptr;
-        } else if (i == w ||
-                   reclaimer_.finger_reacquire(wi.node, finger_id_, i)) {
-          nodes[i] = wi.node;
-        } else {
-          nodes[i] = nullptr;
-          wi.node = nullptr;
-        }
-      }
-      reclaimer_.finger_publish(nodes, kWays, &finger_chain_walker,
-                                finger_id_);
-    }
   }
 
   // Returns {start, way}: a validated start node with key < k (Closed:
@@ -531,28 +469,8 @@ class FRList
           slot, k, comp_, [token](const Way& e) { return e.tag == token; });
       for (const int i : {bracket, fallback}) {
         if (i < 0 || slot.way[i].node == nullptr) continue;
-        // Publishing policies must re-acquire the retained hazard entry
-        // BEFORE the first dereference: a slot mismatch means protection
-        // was not continuous (evicted by another structure's save on this
-        // thread, or invalidated), so the cached pointer may be freed
-        // memory — the way dies without being touched. A token policy's
-        // proof is the probe's token match.
-        auto reacquire = [&]([[maybe_unused]] Node* n) {
-          if constexpr (FingerPol::kPublishes)
-            return reclaimer_.finger_reacquire(n, finger_id_, i);
-          return true;
-        };
-        // Publish each recovery hop before dereferencing it (its liveness
-        // is already guaranteed by the chain-protecting scan while the
-        // finger entry is held; see reclaim/hazard.h).
-        auto publish_hop = [&]([[maybe_unused]] Node* back) {
-          if constexpr (FingerPol::kPublishes) {
-            LF_CHAOS_POINT(kHazardFingerHop);
-            reclaimer_.finger_protect_hop(back);
-          }
-        };
-        if (Node* start =
-                this->finger_resume(slot.way[i], 1, reacquire, publish_hop))
+        // The probe's token match proves the way's node unreclaimed.
+        if (Node* start = this->finger_resume(slot.way[i], 1))
           return {start, i == bracket ? i : -1};
       }
     }

@@ -63,7 +63,6 @@
 #include <new>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -242,13 +241,13 @@ class FRSkipList
 
   bool insert(const Key& k, T value) {
     return insert_impl(k, std::move(value),
-                       tls_rng().tower_height(kMaxTowerHeight)) ==
+                       tower_rng().tower_height(kMaxTowerHeight)) ==
            InsertStatus::kInserted;
   }
 
   InsertStatus insert_checked(const Key& k, T value) {
     return insert_impl(k, std::move(value),
-                       tls_rng().tower_height(kMaxTowerHeight));
+                       tower_rng().tower_height(kMaxTowerHeight));
   }
 
   // Test hook: insert with a chosen tower height instead of coin flips, so
@@ -500,13 +499,6 @@ class FRSkipList
     } else {
       release_tower_ref(tower);
     }
-  }
-
-  static Xoshiro256& tls_rng() {
-    thread_local Xoshiro256 rng(
-        0x9e3779b97f4a7c15ULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
-    return rng;
   }
 
   void raise_top_hint(int level) const noexcept {

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -142,7 +141,7 @@ class FRSkipListRC
 
   bool insert(const Key& k, T value) {
     return insert_with_height(k, std::move(value),
-                              tls_rng().tower_height(kMaxTowerHeight));
+                              tower_rng().tower_height(kMaxTowerHeight));
   }
 
   // Test hook: insert with a chosen tower height instead of coin flips, so
@@ -249,13 +248,6 @@ class FRSkipListRC
     if (down != nullptr) hold(down);
     if (root != nullptr) hold(root);
     return n;
-  }
-
-  static Xoshiro256& tls_rng() {
-    thread_local Xoshiro256 rng(
-        0xa0761d6478bd642fULL ^
-        std::hash<std::thread::id>{}(std::this_thread::get_id()));
-    return rng;
   }
 
   void raise_top_hint(int level) const noexcept {

@@ -128,6 +128,9 @@ struct RawAccess {
   static Node* flagged_successor(Succ&, sync::SuccView<Node> seen) noexcept {
     return seen.right;
   }
+  // A cached finger's proof of life is its reclaimer token, which the
+  // finger probe already matched: nothing left to check.
+  static bool finger_try_hold(Node*, std::uint64_t) noexcept { return true; }
 };
 
 template <typename Derived, typename Node, typename Key, typename Compare,
@@ -281,27 +284,20 @@ class LevelCore : protected Access, protected KeyOrder<Compare> {
   // Replaces the reference on a marked node with one on the nearest
   // unmarked node along its backlink chain (paper lines 9-10 of TryFlag).
   // Because a node is only marked while its predecessor is flagged, chains
-  // only grow to the left, which bounds the recovery cost. on_hop(next)
-  // runs before each hop is followed.
-  template <typename OnHop>
-  void walk_backlinks(Node*& prev, int v, OnHop&& on_hop) const {
+  // only grow to the left, which bounds the recovery cost.
+  void walk_backlinks(Node*& prev, int v) const {
     auto& c = stats::tls();
     std::uint64_t chain = 0;
     while (Derived::succ(prev, v).load().mark) {
       chaos::point_at(Sites::kBacklinkStep);
       Node* back = this->read_backlink(Derived::backlink(prev, v));
       if (back == nullptr) break;  // defensive; marked => backlink set
-      on_hop(back);
       this->drop(prev);
       prev = back;
       c.backlink_traversal.inc();
       ++chain;
     }
     if (chain > 0) stats::chain_hist_tls().record(chain);
-  }
-
-  void walk_backlinks(Node*& prev, int v) const {
-    walk_backlinks(prev, v, [](Node*) {});
   }
 
   // ---- TRYFLAG (Figure 5) ------------------------------------------------
@@ -350,22 +346,20 @@ class LevelCore : protected Access, protected KeyOrder<Compare> {
     return flagged;
   }
 
-  // Finger re-entry: re-acquires way e of a finger cache through
-  // reacquire(node) — proof that the cached node is still dereferenceable,
-  // taking a reference under a counted policy — recovers a marked finger
-  // leftward through its backlinks (on_hop as in walk_backlinks), and
-  // returns it held and unmarked as a search start. Returns nullptr, and
-  // kills the way if reacquiring failed, when it cannot serve.
-  template <typename Way, typename Reacquire, typename OnHop>
-  Node* finger_resume(Way& e, int v, Reacquire&& reacquire,
-                      OnHop&& on_hop) const {
-    if (!reacquire(e.node)) {
+  // Finger re-entry: re-acquires way e of a finger cache through the access
+  // policy's finger_try_hold — proof that the cached node is still
+  // dereferenceable — recovers a marked finger leftward through its
+  // backlinks, and returns it held and unmarked as a search start. Returns
+  // nullptr, and kills the way if reacquiring failed, when it cannot serve.
+  template <typename Way>
+  Node* finger_resume(Way& e, int v) const {
+    if (!this->finger_try_hold(e.node, e.tag)) {
       e.node = nullptr;
       return nullptr;
     }
     Node* start = e.node;
     chaos::point_at(Sites::kFingerValidate);
-    walk_backlinks(start, v, on_hop);
+    walk_backlinks(start, v);
     if (Derived::succ(start, v).load().mark) {
       this->drop(start);
       return nullptr;
@@ -373,16 +367,6 @@ class LevelCore : protected Access, protected KeyOrder<Compare> {
     sync::finger_freq_bump(e.freq);
     stats::tls().finger_hit.inc();
     return start;
-  }
-
-  // The counted structures' re-entry: count and reuse stamp. An equal
-  // stamp proves the same incarnation, so the way's cached keys are the
-  // node's and the probe's choice holds (finger_try_hold).
-  template <typename Way>
-  Node* finger_resume(Way& e, int v) const {
-    return finger_resume(
-        e, v, [&](Node* n) { return this->finger_try_hold(n, e.tag); },
-        [](Node*) {});
   }
 
   // Calls fn(node) for every unmarked node after `from` on level v, in key

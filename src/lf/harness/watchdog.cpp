@@ -26,7 +26,14 @@ Watchdog::Watchdog(int threads, Options opts)
 Watchdog::~Watchdog() { stop(); }
 
 void Watchdog::stop() {
-  if (!stop_.exchange(true, std::memory_order_acq_rel)) {
+  bool first;
+  {
+    // Set under the monitor's mutex, so its wait cannot miss the wake-up.
+    std::lock_guard lock(stop_mu_);
+    first = !stop_.exchange(true, std::memory_order_acq_rel);
+  }
+  stop_cv_.notify_all();
+  if (first) {
     if (monitor_.joinable()) monitor_.join();
   } else if (monitor_.joinable()) {
     // A second caller racing the first: the exchange loser must not
@@ -70,8 +77,16 @@ void Watchdog::monitor_loop() {
   const bool can_escalate = static_cast<bool>(opts_.on_stall_report) ||
                             static_cast<bool>(opts_.remediate) ||
                             opts_.epoch_domain != nullptr;
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(opts_.poll_interval);
+  for (;;) {
+    {
+      // One poll interval, cut short by stop().
+      std::unique_lock lock(stop_mu_);
+      if (stop_cv_.wait_for(lock, opts_.poll_interval, [this] {
+            return stop_.load(std::memory_order_acquire);
+          })) {
+        return;
+      }
+    }
     const auto now = Clock::now();
     for (int t = 0; t < threads_; ++t) {
       const auto i = static_cast<std::size_t>(t);

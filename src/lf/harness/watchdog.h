@@ -24,9 +24,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,7 +94,8 @@ class Watchdog {
         parked, std::memory_order_release);
   }
 
-  // Stop monitoring (idempotent; the destructor calls it).
+  // Stop monitoring (idempotent; the destructor calls it). Wakes the
+  // monitor at once rather than after its current poll interval.
   void stop();
 
   bool stalled() const noexcept {
@@ -121,6 +124,8 @@ class Watchdog {
   int threads_;
   Options opts_;
   std::atomic<bool> stop_{false};
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
   std::atomic<bool> stalled_{false};
   std::atomic<std::uint64_t> escalations_{0};
   std::thread monitor_;

@@ -108,10 +108,8 @@ class EpochDomain {
   // period. This is the hook pooled skip-list towers use to return blocks
   // to their freelist only once no pinned reader can still hold a pointer
   // into them (core/fr_skiplist.h) — the epoch-integrated recycle path.
-  // It is also how the two-stage epoch→hazard handoff (hazard.h Handoff)
-  // composes with the quarantine: a quarantined record keeps its deleter,
-  // so draining it still runs Handoff::pass and the hazard scan's final
-  // protection check before anything is freed.
+  // A quarantined record keeps its deleter, so draining the quarantine
+  // still returns each block the structure's way.
   void retire_with(void* object, void (*deleter)(void*)) {
     retire_erased(object, deleter);
   }

@@ -48,25 +48,6 @@
 //                    Strictly-equal tokens are required: one epoch of slack
 //                    would admit a node freed exactly at e + 2.
 //
-//   HazardReclaimer  the layered epoch + hazard-pointer policy
-//                    (reclaim/hazard.h). The token is a constant — tokens
-//                    cannot prove anything here, because the cached pointer
-//                    outlives every pin. Instead the policy PUBLISHES
-//                    (kPublishes below): at save time the structure stores
-//                    the finger into the thread's retained hazard slot, and
-//                    reuse re-acquires it by slot match (publish-then-
-//                    revalidate): if the slot still holds exactly the cached
-//                    pointer under the structure's instance tag, protection
-//                    was continuous since a moment the node was provably
-//                    alive, so it is still dereferenceable; any mismatch
-//                    fails closed to a head start without dereferencing.
-//                    (FRList retains one slot per cache way, each holding
-//                    that way's node.)
-//                    A marked finger recovers through its backlink chain
-//                    with each hop published into the hop slot, and the
-//                    domain's scan protects every published way's chain
-//                    (reclaim/hazard.cpp::scan_record, DESIGN.md §10).
-//
 //   anything else    — the primary template reports kSupported = false and
 //                    the structures compile the finger code out entirely.
 //
@@ -92,7 +73,6 @@
 
 #include "lf/chaos/chaos.h"
 #include "lf/reclaim/epoch.h"
-#include "lf/reclaim/hazard.h"
 #include "lf/reclaim/leaky.h"
 
 namespace lf::sync {
@@ -110,26 +90,15 @@ struct FingerOff {
 // thread holds the reclaimer's guard, both when saving a finger and when
 // attempting to reuse one; a saved entry is dereferenceable iff its saved
 // token equals the current one.
-//
-// kPublishes marks policies whose proof is NOT token-based but slot-based:
-// the structure must additionally call the reclaimer's finger_publish /
-// finger_reacquire / finger_protect_hop / finger_invalidate hooks (the
-// token still participates so the shared save/validate plumbing stays
-// uniform; publishing policies use a constant token that always matches and
-// let the slot re-acquisition be the real proof).
 template <typename Reclaimer>
 struct FingerPolicy {
   static constexpr bool kSupported = false;
-  static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
   static std::uint64_t token(Reclaimer&) noexcept { return 0; }
 };
 
 template <>
 struct FingerPolicy<reclaim::LeakyReclaimer> {
   static constexpr bool kSupported = true;
-  static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::LeakyReclaimer&) noexcept {
     return 1;  // nodes are immortal: every saved finger stays valid
   }
@@ -138,29 +107,10 @@ struct FingerPolicy<reclaim::LeakyReclaimer> {
 template <>
 struct FingerPolicy<reclaim::EpochReclaimer> {
   static constexpr bool kSupported = true;
-  static constexpr bool kPublishes = false;
-  static constexpr int kPublishedWays = 0;
   static std::uint64_t token(reclaim::EpochReclaimer& r) {
     // +1 keeps 0 free as the "empty entry" value even if a domain ever
     // started at epoch 0 (the default domain starts at kBuckets).
     return r.pinned_epoch() + 1;
-  }
-};
-
-template <>
-struct FingerPolicy<reclaim::HazardReclaimer> {
-  static constexpr bool kSupported = true;
-  static constexpr bool kPublishes = true;
-  // Retained slots available per thread: one per cache way of the list's
-  // level-1 way set (entry index = way).
-  static constexpr int kPublishedWays =
-      reclaim::HazardReclaimer::kFingerEntries;
-  static std::uint64_t token(reclaim::HazardReclaimer&) noexcept {
-    // Constant: the epoch pin expires between operations and per-pointer
-    // validation proves nothing for a cross-operation pointer, so no token
-    // can carry the proof. The retained-slot match in finger_reacquire is
-    // the actual validity argument (see reclaim/hazard.h).
-    return 1;
   }
 };
 
@@ -173,9 +123,7 @@ inline std::uint64_t next_finger_instance() noexcept {
 }
 
 // Set associativity of the per-(thread, instance) finger cache: how many
-// bracket-keyed entries each structure keeps per level. Matches the hazard
-// domain's way budget so a publishing policy can retain every way in its
-// own slot (static_asserted at the use site).
+// bracket-keyed entries each structure keeps per level.
 inline constexpr int kFingerCacheWays = 4;
 
 // Replacement halves all frequency counters every kFingerAgePeriod

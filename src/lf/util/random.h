@@ -5,11 +5,13 @@
 // Vigna): ~1ns per draw, 2^256-1 period, passes BigCrush. Each worker thread
 // owns an independent, distinctly-seeded instance.
 //
-// Also provides the geometric level generator used by skip lists and a
-// Zipfian generator (Gray et al., SIGMOD'94 rejection-free method) for
+// Also provides the geometric level generator used by skip lists (with the
+// per-thread generator that draws every tower height) and a Zipfian
+// generator (Gray et al., SIGMOD'94 rejection-free method) for
 // skewed-key workloads.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -81,6 +83,17 @@ class Xoshiro256 {
   }
   std::uint64_t state_[4];
 };
+
+// The calling thread's tower-height generator, shared by every skip list.
+// Threads are seeded in the order they first draw, from a process-wide
+// counter, so a single-threaded run builds the same towers in every
+// process; multi-threaded runs stay schedule-dependent.
+inline Xoshiro256& tower_rng() noexcept {
+  static std::atomic<std::uint64_t> threads{0};
+  thread_local Xoshiro256 rng(0x9e3779b97f4a7c15ULL +
+                              threads.fetch_add(1, std::memory_order_relaxed));
+  return rng;
+}
 
 // Zipfian key distribution over [0, n). theta in (0,1); theta ~0.99 is the
 // YCSB default for a heavily skewed workload. Uses the classic analytic

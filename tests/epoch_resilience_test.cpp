@@ -258,20 +258,20 @@ TEST(EpochResilience, StallReportNamesTheStragglerAndGauges) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
+TEST(EpochResilience, HazardAdoptStalledScavengesRetired) {
   const auto before = lf::stats::aggregate();
-  lf::reclaim::EpochDomain epoch;
   lf::reclaim::HazardDomain hazard;
 
   constexpr int kNodes = 5;
   std::mutex mu;
   std::condition_variable cv;
   bool parked = false, release = false;
-  auto* finger_node = new Tracked;
+  auto* held = new Tracked;
   std::thread victim([&] {
-    // Publish a retained finger and retire some nodes, then park — the
-    // stand-in for a thread that died between operations holding a finger.
-    hazard.publish_finger(finger_node, nullptr, /*tag=*/42);
+    // Protect one node, retire it and some others, then park — the
+    // stand-in for a thread that died mid-traversal.
+    hazard.slots().set(0, held);
+    hazard.retire(held);
     for (int i = 0; i < kNodes; ++i) hazard.retire(new Tracked);
     std::unique_lock lk(mu);
     parked = true;
@@ -287,23 +287,23 @@ TEST(EpochResilience, HazardAdoptStalledScavengesFingersAndRetired) {
   EXPECT_FALSE(hazard.adopt_stalled(std::this_thread::get_id()));
   EXPECT_TRUE(hazard.adopt_stalled(victim.get_id()));
 
-  // The victim's fingers no longer protect anything and its retired list
-  // was orphaned: one scan from a survivor frees everything, including
-  // the de-protected finger target once it is retired too.
-  hazard.retire(finger_node);
+  // The victim's retired list was orphaned: one scan from a survivor frees
+  // all of it except the node its still-published slot protects.
   hazard.scan();
-  EXPECT_EQ(Tracked::live.load(), 0);
-  EXPECT_EQ(hazard.retired_count(), 0u);
+  EXPECT_EQ(Tracked::live.load(), 1);
+  EXPECT_EQ(hazard.retired_count(), 1u);
 
   {
     std::lock_guard lk(mu);
     release = true;
     cv.notify_all();
   }
-  victim.join();
+  victim.join();  // thread exit clears its slots
+  hazard.scan();
+  EXPECT_EQ(Tracked::live.load(), 0);
 
   const auto delta = lf::stats::aggregate() - before;
-  EXPECT_GE(delta.orphan_adopt, static_cast<std::uint64_t>(kNodes));
+  EXPECT_GE(delta.orphan_adopt, static_cast<std::uint64_t>(kNodes + 1));
 }
 
 TEST(EpochResilience, TeardownWhileParkedPinnedAbandonsSlot) {

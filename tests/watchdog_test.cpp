@@ -44,6 +44,18 @@ TEST(Watchdog, NoStallWhileBeating) {
   EXPECT_FALSE(dog.stalled());
 }
 
+// stop() wakes the monitor instead of waiting out its poll interval, so a
+// run's teardown does not cost a poll.
+TEST(Watchdog, StopDoesNotWaitForThePollInterval) {
+  Watchdog::Options o;
+  o.poll_interval = 10s;
+  Watchdog dog(1, o);
+  std::this_thread::sleep_for(20ms);  // let the monitor enter its wait
+  const auto t0 = std::chrono::steady_clock::now();
+  dog.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+}
+
 TEST(Watchdog, DetectsSilentThread) {
   std::atomic<bool> fired{false};
   std::string report;

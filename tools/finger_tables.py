@@ -42,10 +42,10 @@ def main():
         return f"{row['essential_steps_per_op']:.2f}" if row else "—"
 
     print(table("FRSkipList (head descent) steps/op",
-                ["workload", "reclaimer"] + cols,
-                [[w, r] + [steps(get("tower", r, False, w, t))
-                           for t in THREADS]
-                 for w in WORKLOADS for r in ("epoch", "hazard")]))
+                ["workload"] + cols,
+                [[w] + [steps(get("tower", "epoch", False, w, t))
+                        for t in THREADS]
+                 for w in WORKLOADS]))
     for layout, reclaimer, name in FINGERED:
         def cells(fmt):
             out = []
